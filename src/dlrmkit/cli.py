@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import RngStream
+from .dense import RngStream, matmul_tile_rows
 from .datagen import (
     RandomDataSpec,
     TraceGenerator,
@@ -392,7 +392,9 @@ class _CriteoSource:
                 s = next(self._iter)
             except StopIteration:
                 self._iter = read_criteo(self.path, self.vocab)
-                s = next(self._iter)
+                s = next(self._iter, None)
+                if s is None:
+                    raise CliError(f"{self.path}: no records") from None
             rows.append(s.dense)
             cats.append(s.categorical)
             labels.append(float(s.label))
@@ -456,13 +458,15 @@ def format_report(report: RunReport, emit: str) -> str:
             "wall_seconds": report.wall_seconds,
             "profiling_enabled": report.profiling_enabled,
             "num_records": len(report.records),
+            "matmul_tile_rows": matmul_tile_rows(),
         }
         if report.profiling_enabled:
             payload["operator_seconds"] = dict(report.ranked_operators())
             payload["attributed_fraction"] = report.attributed_fraction()
         return json.dumps(payload, sort_keys=True)
     lines = [f"wall clock: {report.wall_seconds:.4f} s over "
-             f"{len(report.records)} records"]
+             f"{len(report.records)} records",
+             f"matmul tile rows: {matmul_tile_rows()}"]
     if report.profiling_enabled:
         lines.append("operator                seconds    share")
         for name, secs in report.ranked_operators():

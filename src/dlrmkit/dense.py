@@ -4,10 +4,15 @@ streams, and partition-invariant cross-sample reductions.
 Everything here is float64. Two determinism guarantees matter to the rest of
 the package:
 
-* ``matmul`` computes each output row with an independent vector-matrix
-  product, so the rows of ``matmul(a, b)`` are bit-identical whether ``a`` is
-  the full mini-batch or any row-slice of it. (Whole-matrix BLAS GEMM does
-  not have this property; its small-matrix kernels sum in different orders.)
+* ``matmul`` zero-pads the rows of ``a`` to whole tiles of a fixed height and
+  makes one BLAS GEMM call per tile, so every row goes through a call of the
+  same shape. The rows of ``matmul(a, b)`` are bit-identical whether ``a`` is
+  the full mini-batch or any row-slice of it, provided a row's bits do not
+  depend on its position inside the tile. (A plain whole-matrix GEMM does not
+  have this property: its kernels sum in different orders for different
+  matrix heights.) Some BLAS kernels do make a row depend on its position in
+  taller tiles, so the tile height is picked once per process by a
+  self-check on first use; see ``matmul_tile_rows``.
 
 * ``outer_sum_components`` / ``col_sum_components`` reduce over the sample
   axis using grid-snapped splits whose products and partial sums are exact in
@@ -18,6 +23,7 @@ the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,11 +33,10 @@ __all__ = [
     "Matrix",
     "RngStream",
     "matmul",
+    "matmul_tile_rows",
     "dot",
     "activation",
     "activation_grad",
-    "rng_uniform",
-    "rng_normal",
     "ACTIVATION_KINDS",
     "CROSS_TERMS",
     "reduction_bits",
@@ -59,12 +64,25 @@ def _as_matrix(a, name: str) -> Matrix:
 # ---------------------------------------------------------------------------
 # products
 
+# Tile heights tried by the self-check, tallest (fastest) first; 1, the
+# per-row product, is the fallback when none passes.
+TILE_CANDIDATES = (32, 16, 8, 4, 2)
+# Probe shapes. OpenBLAS's AVX-512 kernels make a row's bits depend on its
+# position in tiles of 16 or more rows when N > 192 is not a multiple of 8,
+# so the N list includes such widths. Largest shapes come first so that a
+# failing tile height is rejected after few calls.
+_PROBE_K = (65, 64, 3, 1)
+_PROBE_N = (1023, 257, 200, 193, 100, 64, 13, 7, 1)
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product with per-row determinism.
 
-    result[i] depends only on a[i] and b, so row-slicing ``a`` never changes
-    the bits of the surviving rows. Raises ShapeError on an inner-dimension
-    mismatch.
+    ``a`` is zero-padded to a whole number of tiles of ``matmul_tile_rows()``
+    rows (copied only when its row count is not a multiple), and each tile is
+    one GEMM call. result[i] depends only on a[i] and b, so row-slicing ``a``
+    never changes the bits of the surviving rows. Raises ShapeError on an
+    inner-dimension mismatch.
     """
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
@@ -72,10 +90,62 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise ShapeError(
             f"matmul inner dimensions differ: {a.shape} x {b.shape}"
         )
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.float64)
-    for i in range(a.shape[0]):
-        np.matmul(a[i], b, out=out[i])
-    return out
+    # The self-check only probes row-major tiles.
+    return _tiled_matmul(np.ascontiguousarray(a), b, matmul_tile_rows())
+
+
+def _tiled_matmul(a: Matrix, b: Matrix, tile: int) -> Matrix:
+    m = a.shape[0]
+    rows = -(-m // tile) * tile
+    if rows != m:
+        padded = np.zeros((rows, a.shape[1]), dtype=np.float64)
+        padded[:m] = a
+        a = padded
+    out = np.empty((rows, b.shape[1]), dtype=np.float64)
+    for i in range(0, rows, tile):
+        np.matmul(a[i:i + tile], b, out=out[i:i + tile])
+    return out[:m]
+
+
+@functools.cache
+def matmul_tile_rows() -> int:
+    """Rows per GEMM call in ``matmul``, fixed for the life of the process.
+
+    Computed on first use as the tallest of TILE_CANDIDATES whose tiled
+    product passes the row-position self-check, else 1 (one call per row).
+    """
+    return _choose_tile_rows(_tiled_matmul)
+
+
+def _choose_tile_rows(product) -> int:
+    """Tallest tile height in TILE_CANDIDATES at which ``product(a, b, tile)``
+    gives every row the same bits at every position in the tile; 1 if none.
+    """
+    for tile in TILE_CANDIDATES:
+        if _rows_position_invariant(product, tile):
+            return tile
+    return 1
+
+
+def _rows_position_invariant(product, tile: int) -> bool:
+    # Row r of the 2*tile probe rows sits at position r % tile in the full
+    # product and at r - o in the window starting at o, so comparing every
+    # window offset 1..tile-1 compares each row across every position.
+    rng = np.random.default_rng(0)
+    for k in _PROBE_K:
+        # Magnitudes spanning ~24 decades make any change in the summation
+        # order show in the bits.
+        a = rng.standard_normal((2 * tile, k)) * np.exp2(
+            rng.integers(-40, 41, size=(2 * tile, k)))
+        for n in _PROBE_N:
+            b = rng.standard_normal((k, n))
+            for b_ordered in (b, np.asfortranarray(b)):
+                full = product(a, b_ordered, tile)
+                for o in range(1, tile):
+                    window = product(a[o:o + tile], b_ordered, tile)
+                    if not np.array_equal(window, full[o:o + tile]):
+                        return False
+    return True
 
 
 def dot(u, v) -> float:
@@ -168,14 +238,6 @@ class RngStream:
 
     def random_scalar(self) -> float:
         return float(self._gen.random())
-
-
-def rng_uniform(stream: RngStream, rows: int, cols: int) -> Matrix:
-    return stream.uniform(rows, cols)
-
-
-def rng_normal(stream: RngStream, rows: int, cols: int) -> Matrix:
-    return stream.normal(rows, cols)
 
 
 # ---------------------------------------------------------------------------

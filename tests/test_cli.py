@@ -14,6 +14,7 @@ from dlrmkit.cli import (
     save_checkpoint,
 )
 from dlrmkit.datagen import profile_trace, save_profile
+from dlrmkit.dense import matmul_tile_rows
 from dlrmkit.model import DlrmConfig, init_model
 
 
@@ -319,6 +320,7 @@ class TestMain:
         out = capsys.readouterr().out.strip().split("\n")
         assert len(out) == 3  # 2 metric lines + report
         json.loads(out[0])
+        assert json.loads(out[2])["matmul_tile_rows"] == matmul_tile_rows()
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["--no-such-flag"]) == 2
@@ -338,6 +340,17 @@ class TestMain:
                      "--criteo-path=/no/such/file", "--num-batches=1"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_empty_data_file_exits_1(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        sizes = "-".join(["40"] * 26)
+        code = main([f"--arch-embedding-size={sizes}",
+                     "--arch-sparse-feature-size=4", "--arch-mlp-bot=13-4",
+                     "--arch-mlp-top=6-1", "--data-generation=criteo",
+                     f"--criteo-path={empty}", "--num-batches=1"])
+        assert code == 1
+        assert f"error: {empty}: no records" in capsys.readouterr().err
 
     def test_report_and_metric_files(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.jsonl"

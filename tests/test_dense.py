@@ -57,16 +57,48 @@ class TestMatmul:
             assert np.abs(left - right).max() < 1e-9
 
     def test_row_shard_stability(self):
-        # rows of a sliced operand match the full product bit for bit
+        # rows of a sliced operand match the full product bit for bit; odd
+        # widths above 192 are where tall BLAS tiles make rows depend on
+        # their position in the tile, and an F-ordered b is what weight.T is
         rng = np.random.default_rng(2)
-        for m, k, n in [(9, 4, 3), (8, 13, 7), (5, 64, 64), (16, 100, 24)]:
+        for m, k, n, order in [(9, 4, 3, "C"), (8, 13, 7, "C"),
+                               (5, 64, 64, "C"), (16, 100, 24, "C"),
+                               (40, 64, 257, "C"), (40, 32, 1023, "C"),
+                               (40, 65, 193, "F"), (0, 5, 4, "C")]:
             a = rng.standard_normal((m, k)) * np.exp(
                 rng.standard_normal((m, 1)) * 4)
-            b = rng.standard_normal((k, n))
+            b = np.asarray(rng.standard_normal((k, n)), order=order)
             full = matmul(a, b)
+            assert full.shape == (m, n)
             for lo in range(m):
                 for hi in (lo + 1, min(m, lo + 3)):
                     assert np.array_equal(matmul(a[lo:hi], b), full[lo:hi])
+        # a 256-row batch over 3 devices: shards of 86, 85 and 85 rows
+        a = rng.standard_normal((256, 100)) * np.exp(
+            rng.standard_normal((256, 1)) * 4)
+        weight = rng.standard_normal((257, 100))
+        full = matmul(a, weight.T)
+        for lo, hi in [(0, 86), (86, 171), (171, 256)]:
+            assert np.array_equal(matmul(a[lo:hi], weight.T), full[lo:hi])
+
+    def test_tile_self_check_rejects_position_dependent_rows(self):
+        def per_row(a, b, tile):
+            return np.stack([row @ b for row in a])
+
+        def skewed_from(min_tile):
+            # a product whose rows pick up their position in tiles of
+            # min_tile or more rows, as some BLAS kernels do for odd widths
+            def product(a, b, tile):
+                out = per_row(a, b, tile)
+                if tile >= min_tile:
+                    pos = np.arange(out.shape[0]) % tile
+                    out = out * (1.0 + pos[:, None] * 2.0 ** -50)
+                return out
+            return product
+
+        assert dense._choose_tile_rows(per_row) == 32
+        assert dense._choose_tile_rows(skewed_from(16)) == 8
+        assert dense._choose_tile_rows(skewed_from(2)) == 1
 
 
 class TestDot:
