@@ -1,10 +1,10 @@
-"""Command-line entry point: parse benchmark flags, build configs, run
-training or benchmark loops, emit metric logs and per-operator profiling.
+"""Command-line entry point: parse benchmark flags, build configs, run the
+training loop, emit metric logs and per-operator profiling.
 
 Flag syntax follows the dash-separated-list convention
-(``--arch-mlp-bot=512-512-64``). ``--mode=train`` runs the training loop with
-metric records per interval; ``--mode=benchmark`` pre-generates the data,
-times every operator category, and reports attribution.
+(``--arch-mlp-bot=512-512-64``). Both modes run one loop with the same
+flags: ``--mode=train`` draws each batch inside the timed loop,
+``--mode=benchmark`` draws them all before the clock starts.
 """
 
 from __future__ import annotations
@@ -14,8 +14,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
+import os
 import sys
 import time
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,31 +176,9 @@ def parse_args(argv) -> tuple[DlrmConfig, RunOptions]:
         )
     except ValueError as e:
         raise CliError(str(e)) from e
-    options = RunOptions(
-        mode=ns.mode,
-        data_generation=ns.data_generation,
-        mini_batch_size=ns.mini_batch_size,
-        num_batches=ns.num_batches,
-        num_indices_per_lookup=ns.num_indices_per_lookup,
-        num_indices_per_lookup_fixed=ns.num_indices_per_lookup_fixed,
-        enable_profiling=ns.enable_profiling,
-        optimizer=ns.optimizer,
-        learning_rate=ns.learning_rate,
-        num_devices=ns.num_devices,
-        criteo_path=ns.criteo_path,
-        criteo_val_path=ns.criteo_val_path,
-        vocab_sizes=ns.vocab_sizes,
-        emit=ns.emit,
-        eval_interval=ns.eval_interval,
-        val_batches=ns.val_batches,
-        save_checkpoint=ns.save_checkpoint,
-        load_checkpoint=ns.load_checkpoint,
-        synthetic_profiles=ns.synthetic_profiles,
-        first_touch_boost=ns.first_touch_boost,
-        metrics_file=ns.metrics_file,
-        report_file=ns.report_file,
-        use_gpu=ns.use_gpu,
-    )
+    # every RunOptions field is the destination of the flag of that name
+    options = RunOptions(**{f.name: getattr(ns, f.name)
+                            for f in dataclasses.fields(RunOptions)})
     _validate(config, options)
     return config, options
 
@@ -214,8 +195,15 @@ def _validate(config: DlrmConfig, options: RunOptions) -> None:
             f"--num-devices ({options.num_devices}) must not exceed "
             f"--mini-batch-size ({options.mini_batch_size})"
         )
-    if options.learning_rate < 0:
-        raise CliError("--learning-rate must be nonnegative")
+    for flag, value in (("--learning-rate", options.learning_rate),
+                        ("--first-touch-boost", options.first_touch_boost)):
+        if not math.isfinite(value) or value < 0:
+            raise CliError(f"{flag} must be finite and nonnegative, "
+                           f"got {value}")
+    for flag, value in (("--eval-interval", options.eval_interval),
+                        ("--val-batches", options.val_batches)):
+        if value < 0:
+            raise CliError(f"{flag} must be nonnegative, got {value}")
     if options.data_generation in ("random", "synthetic"):
         k = options.num_indices_per_lookup
         if k < 1:
@@ -294,6 +282,8 @@ def config_to_args(config: DlrmConfig, options: RunOptions) -> list[str]:
 class _RandomSource:
     """Random-mode batches; generation is independent of device count."""
 
+    stream_key = 10
+
     def __init__(self, config: DlrmConfig, options: RunOptions, key: int):
         self.spec = RandomDataSpec(
             batch_size=options.mini_batch_size,
@@ -303,18 +293,20 @@ class _RandomSource:
             indices_fixed=options.num_indices_per_lookup_fixed,
             seed=config.seed,
         )
-        self.stream = RngStream(config.seed).derive(10, key)
+        self.stream = RngStream(config.seed).derive(self.stream_key, key)
+
+    def _sparse(self, t: int) -> SparseBatch:
+        return gen_sparse_batch(self.spec, t, self.stream)
 
     def next_batch(self):
         dense = gen_dense_batch(self.spec, self.stream)
-        sparse = [gen_sparse_batch(self.spec, t, self.stream)
-                  for t in range(len(self.spec.table_sizes))]
+        sparse = [self._sparse(t) for t in range(len(self.spec.table_sizes))]
         labels = (self.stream.uniform(1, self.spec.batch_size)[0]
                   < 0.5).astype(np.float64)
         return dense, sparse, labels
 
 
-class _SyntheticSource:
+class _SyntheticSource(_RandomSource):
     """Synthetic-mode batches: per-table trace generators drive the indices.
 
     Profiles come from --synthetic-profiles when given; otherwise each table
@@ -322,16 +314,10 @@ class _SyntheticSource:
     adjusted with the first-touch floor before generation.
     """
 
+    stream_key = 11
+
     def __init__(self, config: DlrmConfig, options: RunOptions, key: int):
-        self.spec = RandomDataSpec(
-            batch_size=options.mini_batch_size,
-            dense_dim=config.dense_dim,
-            table_sizes=list(config.embedding_sizes),
-            indices_per_lookup=options.num_indices_per_lookup,
-            indices_fixed=options.num_indices_per_lookup_fixed,
-            seed=config.seed,
-        )
-        self.stream = RngStream(config.seed).derive(11, key)
+        super().__init__(config, options, key)
         k = options.num_indices_per_lookup
         per_lookup = k if options.num_indices_per_lookup_fixed else (k + 1) / 2
         planned = max(1, int(options.num_batches * options.mini_batch_size
@@ -356,23 +342,17 @@ class _SyntheticSource:
             adjusted = adjust_distribution(profile, floor)
             self.generators.append(TraceGenerator(adjusted, self.stream))
 
-    def next_batch(self):
-        dense = gen_dense_batch(self.spec, self.stream)
-        sparse = []
-        for t in range(len(self.spec.table_sizes)):
-            k = self.spec.indices_per_lookup
-            if self.spec.indices_fixed:
-                lengths = np.full(self.spec.batch_size, k, dtype=np.int64)
-            else:
-                lengths = np.array(
-                    [int(self.stream.integers(1, k + 1, size=()))
-                     for _ in range(self.spec.batch_size)], dtype=np.int64)
-            ids = self.generators[t].next(int(lengths.sum()))
-            sparse.append(SparseBatch(offsets_from_lengths(lengths),
-                                      np.array(ids, dtype=np.int64)))
-        labels = (self.stream.uniform(1, self.spec.batch_size)[0]
-                  < 0.5).astype(np.float64)
-        return dense, sparse, labels
+    def _sparse(self, t: int) -> SparseBatch:
+        k = self.spec.indices_per_lookup
+        if self.spec.indices_fixed:
+            lengths = np.full(self.spec.batch_size, k, dtype=np.int64)
+        else:
+            lengths = np.array(
+                [int(self.stream.integers(1, k + 1, size=()))
+                 for _ in range(self.spec.batch_size)], dtype=np.int64)
+        ids = self.generators[t].next(int(lengths.sum()))
+        return SparseBatch(offsets_from_lengths(lengths),
+                           np.array(ids, dtype=np.int64))
 
 
 class _CriteoSource:
@@ -421,12 +401,6 @@ def make_source(config: DlrmConfig, options: RunOptions, key: int = 0,
 
 # ---------------------------------------------------------------------------
 # reports and metric logs
-
-OPERATOR_CATEGORIES = (
-    "embedding_lookup", "bottom_mlp", "interaction", "top_mlp", "loss",
-    "optimizer", "shuffle", "allreduce", "device_compute", "datagen",
-)
-
 
 @dataclass
 class RunReport:
@@ -484,46 +458,77 @@ def _config_digest(config: DlrmConfig) -> str:
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
+def _named_params(model: DlrmModel):
+    """(archive name, parameter array) pairs in archive order."""
+    for name, mlp in (("bottom", model.bottom), ("top", model.top)):
+        for l, layer in enumerate(mlp.layers):
+            yield f"{name}_w_{l}", layer.weight
+            yield f"{name}_b_{l}", layer.bias
+    for t, table in enumerate(model.tables):
+        yield f"table_{t}", table.weights
+
+
 def save_checkpoint(path: str, model: DlrmModel) -> None:
-    """Text header (magic, version, config digest) + npz parameter payload."""
+    """Text header (magic, version, config digest) + npz parameter payload.
+
+    The file is written beside ``path`` under a temporary name and then
+    renamed over it, so a failed save leaves any earlier checkpoint intact.
+    """
     arrays = {
         "config_json": np.frombuffer(
             json.dumps(dataclasses.asdict(model.config),
                        sort_keys=True).encode("ascii"), dtype=np.uint8),
+        **dict(_named_params(model)),
     }
-    for name, mlp in (("bottom", model.bottom), ("top", model.top)):
-        for l, layer in enumerate(mlp.layers):
-            arrays[f"{name}_w_{l}"] = layer.weight
-            arrays[f"{name}_b_{l}"] = layer.bias
-    for t, table in enumerate(model.tables):
-        arrays[f"table_{t}"] = table.weights
-    with open(path, "wb") as f:
-        f.write(f"{CHECKPOINT_MAGIC} v1 {_config_digest(model.config)}\n"
-                .encode("ascii"))
-        buf = io.BytesIO()
-        np.savez(buf, **arrays)
-        f.write(buf.getvalue())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(f"{CHECKPOINT_MAGIC} v1 {_config_digest(model.config)}\n"
+                    .encode("ascii"))
+            buf = io.BytesIO()
+            np.savez(buf, **arrays)
+            f.write(buf.getvalue())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> DlrmModel:
+    """Parameters from a checkpoint file; a file that is not a complete,
+    readable checkpoint raises CliError naming ``path``."""
+    try:
+        return _read_checkpoint(path)
+    except CliError:
+        raise
+    except (EOFError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile) as e:
+        raise CliError(f"{path}: unreadable checkpoint "
+                       f"({type(e).__name__}: {e})") from e
+
+
+def _read_checkpoint(path: str) -> DlrmModel:
     with open(path, "rb") as f:
-        header = f.readline().decode("ascii").split()
+        header = f.readline().decode("ascii", "replace").split()
         if len(header) != 3 or header[0] != CHECKPOINT_MAGIC:
-            raise CliError(f"not a {CHECKPOINT_MAGIC} checkpoint: {path}")
+            raise CliError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
         if header[1] != "v1":
-            raise CliError(f"unsupported checkpoint version {header[1]}")
+            raise CliError(
+                f"{path}: unsupported checkpoint version {header[1]}")
         payload = np.load(io.BytesIO(f.read()))
+    if not isinstance(payload, np.lib.npyio.NpzFile):
+        raise ValueError("payload is not an npz archive")
     cfg_dict = json.loads(bytes(payload["config_json"]).decode("ascii"))
     config = DlrmConfig(**cfg_dict)
     if _config_digest(config) != header[2]:
-        raise CliError("checkpoint config digest mismatch")
+        raise CliError(f"{path}: checkpoint config digest mismatch")
     model = init_model(config)
-    for name, mlp in (("bottom", model.bottom), ("top", model.top)):
-        for l, layer in enumerate(mlp.layers):
-            layer.weight[...] = payload[f"{name}_w_{l}"]
-            layer.bias[...] = payload[f"{name}_b_{l}"]
-    for t, table in enumerate(model.tables):
-        table.weights[...] = payload[f"table_{t}"]
+    for name, param in _named_params(model):
+        value = payload[name]
+        if value.shape != param.shape:
+            raise ValueError(f"array {name} has shape {value.shape}, "
+                             f"expected {param.shape}")
+        param[...] = value
     return model
 
 
@@ -556,54 +561,65 @@ def _evaluate(model: DlrmModel, eval_batches) -> tuple[float, float]:
     return float(per_all.mean()), correct / total
 
 
-def run_training(config: DlrmConfig,
-                 options: RunOptions) -> tuple[RunReport, list[str]]:
-    """Train over the selected source; one metric record per iteration plus
-    validation records at --eval-interval. Deterministic per seed."""
+def _eval_batches(config: DlrmConfig, options: RunOptions) -> list:
+    if options.criteo_val_path and options.data_generation == "criteo":
+        source = make_source(config, options, validation=True)
+        count = max(1, options.val_batches)
+    elif options.val_batches > 0:
+        source = make_source(config, options, key=1)
+        count = options.val_batches
+    else:
+        return []
+    return [source.next_batch() for _ in range(count)]
+
+
+def _run(config: DlrmConfig, options: RunOptions,
+         pregenerate: bool) -> tuple[RunReport, list[str]]:
+    """The step loop of both modes: one metric record per iteration,
+    validation records every --eval-interval iterations, and the trained
+    parameters saved to --save-checkpoint. Batches are either drawn before
+    the clock starts or drawn per step under the ``datagen`` section."""
     model = _build_model(config, options)
     source = make_source(config, options, key=0)
-    eval_batches = []
-    if options.criteo_val_path and options.data_generation == "criteo":
-        val_source = make_source(config, options, validation=True)
-        eval_batches = [val_source.next_batch()
-                        for _ in range(max(1, options.val_batches))]
-    elif options.val_batches > 0:
-        val_source = make_source(config, options, key=1)
-        eval_batches = [val_source.next_batch()
-                        for _ in range(options.val_batches)]
+    batches = ([source.next_batch() for _ in range(options.num_batches)]
+               if pregenerate else None)
+    eval_batches = _eval_batches(config, options)
 
     timer = StageTimer() if options.enable_profiling else NullTimer()
     report = RunReport(profiling_enabled=options.enable_profiling)
     metric_lines: list[str] = []
     trainer = None
-    optimizer = make_optimizer(options.optimizer, options.learning_rate)
     if options.num_devices > 1:
         plan = make_plan(config, options.mini_batch_size, options.num_devices)
         trainer = ParallelTrainer(model, plan, options.optimizer,
                                   options.learning_rate)
+    else:
+        optimizer = make_optimizer(options.optimizer, options.learning_rate)
+
+    def record(it: int, split: str, loss: float, accuracy: float):
+        rec = {"iteration": it, "split": split, "loss": loss,
+               "accuracy": accuracy}
+        report.records.append(rec)
+        metric_lines.append(format_metric_record(rec, options.emit))
 
     t0 = time.perf_counter()
     for it in range(options.num_batches):
-        with timer.section("datagen"):
-            dense, sparse, labels = source.next_batch()
+        if batches is None:
+            with timer.section("datagen"):
+                dense, sparse, labels = source.next_batch()
+        else:
+            dense, sparse, labels = batches[it]
         if trainer is None:
             result = train_step(model, dense, sparse, labels, optimizer,
                                 timer)
         else:
             result = trainer.step(dense, sparse, labels, timer)
-        record = {"iteration": it, "split": "train",
-                  "loss": result.loss, "accuracy": result.accuracy}
-        report.records.append(record)
-        metric_lines.append(format_metric_record(record, options.emit))
+        record(it, "train", result.loss, result.accuracy)
         if (options.eval_interval and eval_batches
                 and (it + 1) % options.eval_interval == 0):
             if trainer is not None:
                 _copy_back(model, trainer)
-            vloss, vacc = _evaluate(model, eval_batches)
-            vrecord = {"iteration": it, "split": "validation",
-                       "loss": vloss, "accuracy": vacc}
-            report.records.append(vrecord)
-            metric_lines.append(format_metric_record(vrecord, options.emit))
+            record(it, "validation", *_evaluate(model, eval_batches))
     report.wall_seconds = time.perf_counter() - t0
     if options.enable_profiling:
         report.operator_seconds = dict(timer.seconds)
@@ -626,41 +642,18 @@ def _copy_back(model: DlrmModel, trainer: ParallelTrainer) -> None:
         dst_t.weights[...] = src_t.weights
 
 
+def run_training(config: DlrmConfig,
+                 options: RunOptions) -> tuple[RunReport, list[str]]:
+    """Train over the selected source, drawing each batch inside the timed
+    loop. Deterministic per seed."""
+    return _run(config, options, pregenerate=False)
+
+
 def run_benchmark(config: DlrmConfig,
                   options: RunOptions) -> tuple[RunReport, list[str]]:
-    """Timed forward/backward/update iterations over pre-generated data."""
-    model = _build_model(config, options)
-    source = make_source(config, options, key=0)
-    batches = [source.next_batch() for _ in range(options.num_batches)]
-
-    timer = StageTimer() if options.enable_profiling else NullTimer()
-    report = RunReport(profiling_enabled=options.enable_profiling)
-    metric_lines: list[str] = []
-    optimizer = make_optimizer(options.optimizer, options.learning_rate)
-    trainer = None
-    if options.num_devices > 1:
-        plan = make_plan(config, options.mini_batch_size, options.num_devices)
-        trainer = ParallelTrainer(model, plan, options.optimizer,
-                                  options.learning_rate)
-
-    t0 = time.perf_counter()
-    for it, (dense, sparse, labels) in enumerate(batches):
-        if trainer is None:
-            result = train_step(model, dense, sparse, labels, optimizer,
-                                timer)
-        else:
-            result = trainer.step(dense, sparse, labels, timer)
-        record = {"iteration": it, "split": "train",
-                  "loss": result.loss, "accuracy": result.accuracy}
-        report.records.append(record)
-        metric_lines.append(format_metric_record(record, options.emit))
-    report.wall_seconds = time.perf_counter() - t0
-    if options.enable_profiling:
-        report.operator_seconds = dict(timer.seconds)
-    if trainer is not None:
-        report.comm_report = format_comm_report(trainer.comm)
-        trainer.close()
-    return report, metric_lines
+    """The training loop over batches pre-generated before the clock
+    starts, so the timed loop holds only the steps."""
+    return _run(config, options, pregenerate=True)
 
 
 # ---------------------------------------------------------------------------

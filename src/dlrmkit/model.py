@@ -100,10 +100,6 @@ class MlpParams:
     def in_dim(self) -> int:
         return self.layers[0].weight.shape[1]
 
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[0]
-
     def copy(self) -> "MlpParams":
         return MlpParams([
             MlpLayer(l.weight.copy(), l.bias.copy(), l.activation)

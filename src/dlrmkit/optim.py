@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingTable, SparseRowGrad
-from .model import DlrmGradients, DlrmModel, MlpGrads, MlpParams
+from .model import MlpGrads, MlpParams
 
 __all__ = [
     "sgd_step",
@@ -83,10 +83,6 @@ class AdagradState:
         return cls([np.zeros_like(l.weight) for l in params.layers],
                    [np.zeros_like(l.bias) for l in params.layers])
 
-    def copy(self) -> "AdagradState":
-        return AdagradState([a.copy() for a in self.mlp_weights],
-                            [a.copy() for a in self.mlp_biases])
-
 
 class Sgd:
     """Plain SGD over a full model (dense MLPs + sparse tables)."""
@@ -105,12 +101,6 @@ class Sgd:
 
     def apply_table(self, table: EmbeddingTable, grad: SparseRowGrad) -> None:
         sgd_step_rows(table.weights, grad, self.lr)
-
-    def apply(self, model: DlrmModel, grads: DlrmGradients) -> None:
-        self.apply_mlp(model.bottom, grads.bottom, "bottom")
-        self.apply_mlp(model.top, grads.top, "top")
-        for table, g in zip(model.tables, grads.tables):
-            self.apply_table(table, g)
 
 
 class Adagrad:
@@ -143,12 +133,6 @@ class Adagrad:
         if accum is None:
             accum = self._table_state[table.table_id] = np.zeros_like(table.weights)
         adagrad_step_rows(table.weights, grad, accum, self.lr, self.eps)
-
-    def apply(self, model: DlrmModel, grads: DlrmGradients) -> None:
-        self.apply_mlp(model.bottom, grads.bottom, "bottom")
-        self.apply_mlp(model.top, grads.top, "top")
-        for table, g in zip(model.tables, grads.tables):
-            self.apply_table(table, g)
 
 
 def make_optimizer(name: str, lr: float, eps: float = 1e-10):

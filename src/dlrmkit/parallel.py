@@ -31,7 +31,6 @@ from .model import (
     interact,
     interact_backward,
     layer_grad_components,
-    mlp_backward,
     mlp_backward_trace,
     mlp_forward,
 )
@@ -238,7 +237,7 @@ def _allreduce_bytes(payload_bytes: int, participants: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# serial training step (the reference semantics)
+# the step core, shared by the serial step and every simulated device
 
 @dataclass
 class StepResult:
@@ -247,58 +246,48 @@ class StepResult:
     probs: np.ndarray
 
 
-def train_step(model: DlrmModel, dense_x: Matrix,
-               batches: list[SparseBatch], labels: np.ndarray,
-               optimizer, timer=None) -> StepResult:
-    """One serial forward/backward/update pass over a mini-batch."""
-    timer = timer or NullTimer()
-    with timer.section("bottom_mlp"):
-        dense_repr, bottom_cache = mlp_forward(model.bottom, dense_x)
-    with timer.section("embedding_lookup"):
-        emb_out = [lookup_batch(tb, sb)
-                   for tb, sb in zip(model.tables, batches)]
-    with timer.section("interaction"):
-        inter = interact(dense_repr, emb_out)
-    with timer.section("top_mlp"):
-        logits, top_cache = mlp_forward(model.top, inter)
-    with timer.section("loss"):
-        z = logits[:, 0]
-        loss, grad_logits, _ = bce_from_logits(z, labels)
-        prob = activation(z[None, :], "sigmoid")[0]
-    n_total = dense_x.shape[0]
-    with timer.section("top_mlp"):
-        top_grads, grad_inter = mlp_backward(
-            model.top, top_cache, grad_logits[:, None], n_total)
-    with timer.section("interaction"):
-        grad_dense_repr, grad_embs = interact_backward(
-            dense_repr, emb_out, grad_inter)
-    with timer.section("bottom_mlp"):
-        bottom_grads, _ = mlp_backward(
-            model.bottom, bottom_cache, grad_dense_repr, n_total)
-    with timer.section("embedding_lookup"):
-        table_grads = [lookup_backward(tb, sb, g) for tb, sb, g
-                       in zip(model.tables, batches, grad_embs)]
-    with timer.section("optimizer"):
-        optimizer.apply_mlp(model.bottom, bottom_grads, "bottom")
-        optimizer.apply_mlp(model.top, top_grads, "top")
-        for tb, g in zip(model.tables, table_grads):
-            optimizer.apply_table(tb, g)
-    acc = float(np.mean((prob > 0.5) == (labels > 0.5)))
-    return StepResult(loss, acc, prob)
-
-
-# ---------------------------------------------------------------------------
-# parallel trainer
-
 @dataclass
-class _LocalResult:
-    """Per-device output of the local forward/backward sweep."""
+class _ShardResult:
+    """One shard's forward/backward output; nothing in it mixes samples."""
 
     per_sample_loss: np.ndarray
     probs: np.ndarray
     bottom_pairs: list[tuple[Matrix, Matrix]]
     top_pairs: list[tuple[Matrix, Matrix]]
-    emb_grads: dict[int, Matrix]
+    emb_grads: list[Matrix]     # ascending table id
+
+
+def _forward_backward(bottom: MlpParams, top: MlpParams, dense_x: Matrix,
+                      emb: list[Matrix], labels: np.ndarray, n_total: int,
+                      timer) -> _ShardResult:
+    """Forward pass, per-sample BCE and the per-sample backward sweeps over
+    one shard of an ``n_total``-sample mini-batch.
+
+    The logit gradient is (p - y) / n_total, the shard's rows of the
+    gradient of the full-batch mean loss.
+    """
+    with timer.section("bottom_mlp"):
+        dense_repr, bottom_cache = mlp_forward(bottom, dense_x)
+    with timer.section("interaction"):
+        inter = interact(dense_repr, emb)
+    with timer.section("top_mlp"):
+        logits, top_cache = mlp_forward(top, inter)
+    with timer.section("loss"):
+        z = logits[:, 0]
+        # a shard can be empty when there are more devices than samples
+        per_sample = bce_from_logits(z, labels)[2] if z.size else z
+        probs = activation(z[None, :], "sigmoid")[0]
+        grad_logits = (probs - labels) / n_total
+    with timer.section("top_mlp"):
+        top_pairs, grad_inter = mlp_backward_trace(
+            top, top_cache, grad_logits[:, None])
+    with timer.section("interaction"):
+        grad_dense_repr, grad_embs = interact_backward(
+            dense_repr, emb, grad_inter)
+    with timer.section("bottom_mlp"):
+        bottom_pairs, _ = mlp_backward_trace(
+            bottom, bottom_cache, grad_dense_repr)
+    return _ShardResult(per_sample, probs, bottom_pairs, top_pairs, grad_embs)
 
 
 def _colmax(a: Matrix) -> np.ndarray:
@@ -306,6 +295,88 @@ def _colmax(a: Matrix) -> np.ndarray:
         return np.zeros(a.shape[1])
     return np.abs(a).max(axis=0)
 
+
+def _combine(collective, per_replica: list):
+    """Run a collective; a lone replica's value is used as is, not copied."""
+    return per_replica[0] if len(per_replica) == 1 else collective(per_replica)
+
+
+def _reduce_mlp_grads(pairs_per_dev: list[list[tuple[Matrix, Matrix]]],
+                      n_total: int, run_per_device, timer
+                      ) -> tuple[MlpGrads, int, int]:
+    """Exact full-batch gradients of one MLP from every device's per-layer
+    (input, grad_pre_activation) pairs, plus the per-replica payload bytes
+    of the stat and component allreduces.
+
+    Per layer: column abs-max allreduce (the shared grids), per-device
+    components, component allreduce, one rounding in ``sum_components``.
+    A layer's components are freed before the next layer's are built.
+    """
+    grads = MlpGrads([], [])
+    stat_payload = grad_payload = 0
+    for l in range(len(pairs_per_dev[0])):
+        with timer.section("allreduce"):
+            x_max = _combine(allreduce_max,
+                             [_colmax(p[l][0]) for p in pairs_per_dev])
+            g_max = _combine(allreduce_max,
+                             [_colmax(p[l][1]) for p in pairs_per_dev])
+        with timer.section("device_compute"):
+            comps = run_per_device(lambda d: layer_grad_components(
+                *pairs_per_dev[d][l], x_max, g_max, n_total))
+        with timer.section("allreduce"):
+            w_comps = [_combine(allreduce, [c[0][i] for c in comps])
+                       for i in range(len(dense.CROSS_TERMS))]
+            b_comps = [_combine(allreduce, [c[1][i] for c in comps])
+                       for i in range(dense.LEVELS)]
+            del comps
+            grads.weights.append(dense.sum_components(w_comps))
+            grads.biases.append(dense.sum_components(b_comps))
+        stat_payload += x_max.nbytes + g_max.nbytes
+        grad_payload += sum(c.nbytes for c in w_comps + b_comps)
+        del w_comps, b_comps
+    return grads, stat_payload, grad_payload
+
+
+def _update(optimizer, bottom: MlpParams, top: MlpParams, grads: dict,
+            table_grads) -> None:
+    optimizer.apply_mlp(bottom, grads["bottom"], "bottom")
+    optimizer.apply_mlp(top, grads["top"], "top")
+    for table, g in table_grads:
+        optimizer.apply_table(table, g)
+
+
+def train_step(model: DlrmModel, dense_x: Matrix,
+               batches: list[SparseBatch], labels: np.ndarray,
+               optimizer, timer=None) -> StepResult:
+    """One serial forward/backward/update pass over a mini-batch: the
+    one-device case of the hybrid-parallel step, which has no shuffle and
+    no allreduce. Each MLP's gradient reduction is timed under its section.
+    """
+    timer = timer or NullTimer()
+    n_total = dense_x.shape[0]
+    with timer.section("embedding_lookup"):
+        emb_out = [lookup_batch(tb, sb)
+                   for tb, sb in zip(model.tables, batches)]
+    shard = _forward_backward(model.bottom, model.top, dense_x, emb_out,
+                              labels, n_total, timer)
+    grads = {}
+    for which, pairs in (("bottom", shard.bottom_pairs),
+                         ("top", shard.top_pairs)):
+        with timer.section(f"{which}_mlp"):
+            grads[which] = _reduce_mlp_grads(
+                [pairs], n_total, lambda fn: [fn(0)], NullTimer())[0]
+    with timer.section("embedding_lookup"):
+        table_grads = [lookup_backward(tb, sb, g) for tb, sb, g
+                       in zip(model.tables, batches, shard.emb_grads)]
+    with timer.section("optimizer"):
+        _update(optimizer, model.bottom, model.top, grads,
+                zip(model.tables, table_grads))
+    acc = float(np.mean((shard.probs > 0.5) == (labels > 0.5)))
+    return StepResult(float(shard.per_sample_loss.mean()), acc, shard.probs)
+
+
+# ---------------------------------------------------------------------------
+# parallel trainer
 
 class ParallelTrainer:
     """Replicated-MLP, partitioned-table trainer with simulated collectives.
@@ -388,101 +459,44 @@ class ParallelTrainer:
         with timer.section("shuffle"):
             shuffled = butterfly_shuffle(per_table, plan, self.comm, step_idx)
 
-        # phase 3: local forward/backward on each device's shard
+        # phase 3: the shared forward/backward on each device's shard
         with timer.section("device_compute"):
             def local(device):
                 lo, hi = plan.shard(device)
                 bottom, top = self.replicas[device]
-                x = dense_x[lo:hi]
-                y = labels[lo:hi]
                 emb = [s.values for s in shuffled[device]]  # ascending table id
-                dense_repr, bcache = mlp_forward(bottom, x)
-                inter = interact(dense_repr, emb)
-                logits, tcache = mlp_forward(top, inter)
-                z = logits[:, 0]
-                per = (np.maximum(z, 0.0) - z * y
-                       + np.log1p(np.exp(-np.abs(z))))
-                probs = activation(z[None, :], "sigmoid")[0]
-                grad_logits = (probs - y) / n_total
-                top_pairs, grad_inter = mlp_backward_trace(
-                    top, tcache, grad_logits[:, None])
-                grad_dense_repr, grad_embs = interact_backward(
-                    dense_repr, emb, grad_inter)
-                bottom_pairs, _ = mlp_backward_trace(
-                    bottom, bcache, grad_dense_repr)
-                return _LocalResult(per, probs, bottom_pairs, top_pairs,
-                                    {t: g for t, g in enumerate(grad_embs)})
-            locals_ = self._run_per_device(local)
+                return _forward_backward(bottom, top, dense_x[lo:hi], emb,
+                                         labels[lo:hi], n_total, NullTimer())
+            shards = self._run_per_device(local)
 
         # phase 4a: loss/accuracy gather (per-sample values, ascending order)
         with timer.section("loss"):
-            per_sample = np.concatenate([r.per_sample_loss for r in locals_])
-            probs = np.concatenate([r.probs for r in locals_])
+            per_sample = np.concatenate([r.per_sample_loss for r in shards])
+            probs = np.concatenate([r.probs for r in shards])
             loss = float(per_sample.mean())
             acc = float(np.mean((probs > 0.5) == (labels > 0.5)))
             self.comm.add(step_idx, "loss_gather",
                           sum(r.per_sample_loss.nbytes + r.probs.nbytes
-                              for d, r in enumerate(locals_) if d != 0),
+                              for d, r in enumerate(shards) if d != 0),
                           plan.num_devices)
 
-        # phase 4b: column-stat collectives, then exact gradient allreduce
+        # phase 4b: exact gradient allreduce, layer by layer
         grads = {}
-        for which, idx in (("bottom", 0), ("top", 1)):
-            pairs_per_dev = [getattr(r, f"{which}_pairs") for r in locals_]
-            layer_count = len(pairs_per_dev[0])
-            stats = []
-            stat_bytes = 0
-            with timer.section("allreduce"):
-                for l in range(layer_count):
-                    x_max = allreduce_max(
-                        [_colmax(p[l][0]) for p in pairs_per_dev])
-                    g_max = allreduce_max(
-                        [_colmax(p[l][1]) for p in pairs_per_dev])
-                    stats.append((x_max, g_max))
-                    stat_bytes += _allreduce_bytes(
-                        x_max.nbytes + g_max.nbytes, plan.num_devices)
-                self.comm.add(step_idx, "stat_allreduce", stat_bytes,
+        for which in ("bottom", "top"):
+            grads[which], stat_payload, grad_payload = _reduce_mlp_grads(
+                [getattr(r, f"{which}_pairs") for r in shards], n_total,
+                self._run_per_device, timer)
+            for name, payload in (("stat_allreduce", stat_payload),
+                                  ("grad_allreduce", grad_payload)):
+                self.comm.add(step_idx, name,
+                              _allreduce_bytes(payload, plan.num_devices),
                               plan.num_devices)
-
-            with timer.section("device_compute"):
-                def components(device, pairs_per_dev=pairs_per_dev,
-                               stats=stats):
-                    per_layer = []
-                    for l, (x_l, gz_l) in enumerate(pairs_per_dev[device]):
-                        x_max, g_max = stats[l]
-                        per_layer.append(layer_grad_components(
-                            x_l, gz_l, x_max, g_max, n_total))
-                    return per_layer
-                comp_per_dev = self._run_per_device(components)
-
-            with timer.section("allreduce"):
-                dws, dbs = [], []
-                reduce_bytes = 0
-                for l in range(layer_count):
-                    w_comps = [
-                        allreduce([comp_per_dev[d][l][0][i]
-                                   for d in range(plan.num_devices)])
-                        for i in range(len(dense.CROSS_TERMS))
-                    ]
-                    b_comps = [
-                        allreduce([comp_per_dev[d][l][1][i]
-                                   for d in range(plan.num_devices)])
-                        for i in range(dense.LEVELS)
-                    ]
-                    dws.append(dense.sum_components(w_comps))
-                    dbs.append(dense.sum_components(b_comps))
-                    payload = (sum(c.nbytes for c in w_comps)
-                               + sum(c.nbytes for c in b_comps))
-                    reduce_bytes += _allreduce_bytes(payload,
-                                                     plan.num_devices)
-                self.comm.add(step_idx, "grad_allreduce", reduce_bytes,
-                              plan.num_devices)
-            grads[which] = MlpGrads(dws, dbs)
 
         # phase 5: embedding gradients return to their owners
         with timer.section("shuffle"):
             full_emb_grads = inverse_shuffle(
-                [r.emb_grads for r in locals_], plan, self.comm, step_idx)
+                [dict(enumerate(r.emb_grads)) for r in shards], plan,
+                self.comm, step_idx)
 
         with timer.section("embedding_lookup"):
             def table_grads(device):
@@ -493,14 +507,9 @@ class ParallelTrainer:
 
         # phase 6: synchronous update (replicas get identical dense grads)
         with timer.section("optimizer"):
-            def update(device):
-                bottom, top = self.replicas[device]
-                opt = self.optimizers[device]
-                opt.apply_mlp(bottom, grads["bottom"], "bottom")
-                opt.apply_mlp(top, grads["top"], "top")
-                for t, g in sparse_per_dev[device].items():
-                    opt.apply_table(self.tables[t], g)
-            self._run_per_device(update)
+            self._run_per_device(lambda d: _update(
+                self.optimizers[d], *self.replicas[d], grads,
+                ((self.tables[t], g) for t, g in sparse_per_dev[d].items())))
 
         self.step_count += 1
         return StepResult(loss, acc, probs)

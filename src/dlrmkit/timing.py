@@ -21,9 +21,6 @@ class StageTimer:
             self.seconds[name] = self.seconds.get(name, 0.0) \
                 + (time.perf_counter() - t0)
 
-    def total(self) -> float:
-        return sum(self.seconds.values())
-
 
 class NullTimer:
     """No-op drop-in when profiling is disabled."""
@@ -31,6 +28,3 @@ class NullTimer:
     @contextmanager
     def section(self, name: str):
         yield
-
-    def total(self) -> float:
-        return 0.0

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -78,12 +80,31 @@ class TestParse:
             parse_args(["--data-generation=criteo", "--criteo-path=x",
                         "--arch-embedding-size=10-10"])
 
+    @pytest.mark.parametrize("bad", [
+        "--learning-rate=nan", "--learning-rate=inf",
+        "--first-touch-boost=-1", "--eval-interval=-2", "--val-batches=-3",
+    ])
+    def test_bad_flag_value_exits_2(self, capsys, bad):
+        assert main(tiny_args(["--data-generation=synthetic", bad])) == 2
+        assert bad.split("=")[0] in capsys.readouterr().err
+
 
 def tiny_args(extra=()):
     return ["--arch-embedding-size=12-9", "--arch-sparse-feature-size=4",
             "--arch-mlp-bot=5-4", "--arch-mlp-top=6-1",
             "--mini-batch-size=8", "--num-batches=10",
             "--num-indices-per-lookup=3", "--seed=3", *extra]
+
+
+def param_arrays(model):
+    arrays = [a for mlp in (model.bottom, model.top) for layer in mlp.layers
+              for a in (layer.weight, layer.bias)]
+    return arrays + [t.weights for t in model.tables]
+
+
+def same_params(a, b):
+    return all(np.array_equal(x, y)
+               for x, y in zip(param_arrays(a), param_arrays(b), strict=True))
 
 
 class TestRunTraining:
@@ -194,6 +215,40 @@ class TestRunBenchmark:
         assert [r["loss"] for r in r1.records] == \
             [r["loss"] for r in r2.records]
 
+    @pytest.mark.parametrize("devices, categories", [
+        (1, {"embedding_lookup", "bottom_mlp", "interaction", "top_mlp",
+             "loss", "optimizer"}),
+        (2, {"embedding_lookup", "shuffle", "device_compute", "loss",
+             "allreduce", "optimizer"}),
+    ])
+    def test_profiling_categories_and_attribution(self, devices, categories):
+        config, options = parse_args(
+            tiny_args(["--mode=benchmark", "--enable-profiling",
+                       "--num-batches=20", f"--num-devices={devices}"]))
+        report, _ = run_benchmark(config, options)
+        assert set(report.operator_seconds) == categories
+        total = sum(report.operator_seconds.values())
+        assert total <= report.wall_seconds * 1.0001
+        assert report.attributed_fraction() >= 0.9
+
+    @pytest.mark.parametrize("devices", [1, 2])
+    def test_benchmark_mode_honours_run_flags(self, tmp_path, devices):
+        models, logs = {}, {}
+        for mode, runner in (("train", run_training),
+                             ("benchmark", run_benchmark)):
+            ckpt = tmp_path / f"{mode}.ckpt"
+            config, options = parse_args(tiny_args(
+                [f"--mode={mode}", f"--num-devices={devices}",
+                 f"--save-checkpoint={ckpt}", "--num-batches=4",
+                 "--eval-interval=2", "--val-batches=1", "--emit=json"]))
+            report, logs[mode] = runner(config, options)
+            assert [r["split"] for r in report.records].count(
+                "validation") == 2
+            models[mode] = load_checkpoint(str(ckpt))
+        assert logs["benchmark"] == logs["train"]
+        assert same_params(models["benchmark"], models["train"])
+        assert not same_params(models["train"], init_model(config))
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -241,6 +296,48 @@ class TestCheckpoint:
         config2, options2 = parse_args(other)
         with pytest.raises(CliError, match="architecture does not match"):
             run_training(config2, options2)
+
+    def test_truncated_checkpoint_exits_1(self, tmp_path, capsys):
+        config, _ = parse_args(tiny_args())
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), init_model(config))
+        path.write_bytes(path.read_bytes()[:300])
+        with pytest.raises(CliError, match="unreadable checkpoint"):
+            load_checkpoint(str(path))
+        code = main(tiny_args([f"--load-checkpoint={path}",
+                               "--num-batches=1"]))
+        assert code == 1
+        assert f"error: {path}: " in capsys.readouterr().err
+
+    def test_missing_array_is_named(self, tmp_path, monkeypatch):
+        config, _ = parse_args(tiny_args())
+        path = tmp_path / "m.ckpt"
+        savez = np.savez
+        monkeypatch.setattr(np, "savez", lambda f, **arrays: savez(
+            f, **{k: v for k, v in arrays.items() if k != "table_1"}))
+        save_checkpoint(str(path), init_model(config))
+        monkeypatch.undo()
+        with pytest.raises(CliError, match="table_1"):
+            load_checkpoint(str(path))
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path,
+                                                   monkeypatch):
+        config, _ = parse_args(tiny_args())
+        model = init_model(config)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), model)
+
+        def savez_fails_midway(f, **arrays):
+            f.write(b"PK\x03\x04partial")
+            raise OSError("device full")
+
+        monkeypatch.setattr(np, "savez", savez_fails_midway)
+        with pytest.raises(OSError, match="device full"):
+            save_checkpoint(str(path),
+                            init_model(dataclasses.replace(config, seed=4)))
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["m.ckpt"]
+        assert same_params(load_checkpoint(str(path)), model)
 
 
 class TestSyntheticMode:
