@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -233,7 +234,11 @@ def _validate(config: DlrmConfig, options: RunOptions) -> None:
 
 
 def config_to_args(config: DlrmConfig, options: RunOptions) -> list[str]:
-    """Serialize back to a flag list; parse_args of the result round-trips."""
+    """Serialize back to a flag list; parse_args of the result round-trips.
+
+    Every RunOptions field is written as the flag of that name: booleans
+    as bare flags when set, lists joined with dashes, ``None`` omitted.
+    """
     def dashes(values):
         return "-".join(str(v) for v in values)
 
@@ -243,36 +248,16 @@ def config_to_args(config: DlrmConfig, options: RunOptions) -> list[str]:
         f"--arch-mlp-bot={dashes(config.bottom_mlp_dims)}",
         f"--arch-mlp-top={dashes(config.top_mlp_dims)}",
         f"--seed={config.seed}",
-        f"--data-generation={options.data_generation}",
-        f"--mini-batch-size={options.mini_batch_size}",
-        f"--num-batches={options.num_batches}",
-        f"--num-indices-per-lookup={options.num_indices_per_lookup}",
-        f"--optimizer={options.optimizer}",
-        f"--learning-rate={options.learning_rate}",
-        f"--num-devices={options.num_devices}",
-        f"--emit={options.emit}",
-        f"--mode={options.mode}",
-        f"--eval-interval={options.eval_interval}",
-        f"--val-batches={options.val_batches}",
-        f"--first-touch-boost={options.first_touch_boost}",
     ]
-    if options.num_indices_per_lookup_fixed:
-        argv.append("--num-indices-per-lookup-fixed")
-    if options.enable_profiling:
-        argv.append("--enable-profiling")
-    for flag, value in (
-        ("--criteo-path", options.criteo_path),
-        ("--criteo-val-path", options.criteo_val_path),
-        ("--save-checkpoint", options.save_checkpoint),
-        ("--load-checkpoint", options.load_checkpoint),
-        ("--synthetic-profiles", options.synthetic_profiles),
-        ("--metrics-file", options.metrics_file),
-        ("--report-file", options.report_file),
-    ):
-        if value is not None:
+    for f in dataclasses.fields(RunOptions):
+        flag, value = "--" + f.name.replace("_", "-"), getattr(options, f.name)
+        if isinstance(value, bool):
+            if value:
+                argv.append(flag)
+        elif isinstance(value, list):
+            argv.append(f"{flag}={dashes(value)}")
+        elif value is not None:
             argv.append(f"{flag}={value}")
-    if options.vocab_sizes is not None:
-        argv.append(f"--vocab-sizes={dashes(options.vocab_sizes)}")
     return argv
 
 
@@ -325,11 +310,14 @@ class _SyntheticSource(_RandomSource):
         self.generators = []
         for t, m in enumerate(config.embedding_sizes):
             if options.synthetic_profiles:
-                profile = load_profile(
-                    f"{options.synthetic_profiles}/table_{t}.profile")
+                path = f"{options.synthetic_profiles}/table_{t}.profile"
+                try:
+                    profile = load_profile(path)
+                except ValueError as e:
+                    raise CliError(f"{path}: {e}") from e
                 if profile.uniques and max(profile.uniques) >= m:
                     raise CliError(
-                        f"profile for table {t} references id "
+                        f"{path}: profile for table {t} references id "
                         f"{max(profile.uniques)} outside [0, {m})"
                     )
             else:
@@ -365,16 +353,24 @@ class _CriteoSource:
         self.path = path
         self._iter = read_criteo(path, self.vocab)
 
+    def _next_record(self):
+        """The next record, wrapping around at the end of the file; a
+        malformed or empty file raises CliError naming it."""
+        try:
+            s = next(self._iter, None)
+            if s is None:
+                self._iter = read_criteo(self.path, self.vocab)
+                s = next(self._iter, None)
+        except ValueError as e:     # CriteoFormatError, undecodable bytes
+            raise CliError(f"{self.path}: {e}") from e
+        if s is None:
+            raise CliError(f"{self.path}: no records")
+        return s
+
     def next_batch(self):
         rows, cats, labels = [], [], []
         for _ in range(self.batch_size):
-            try:
-                s = next(self._iter)
-            except StopIteration:
-                self._iter = read_criteo(self.path, self.vocab)
-                s = next(self._iter, None)
-                if s is None:
-                    raise CliError(f"{self.path}: no records") from None
+            s = self._next_record()
             rows.append(s.dense)
             cats.append(s.categorical)
             labels.append(float(s.label))
@@ -588,13 +584,16 @@ def _run(config: DlrmConfig, options: RunOptions,
     timer = StageTimer() if options.enable_profiling else NullTimer()
     report = RunReport(profiling_enabled=options.enable_profiling)
     metric_lines: list[str] = []
+    # the trainer, if any, trains ``model`` in place
     trainer = None
     if options.num_devices > 1:
         plan = make_plan(config, options.mini_batch_size, options.num_devices)
         trainer = ParallelTrainer(model, plan, options.optimizer,
                                   options.learning_rate)
+        step = trainer.step
     else:
-        optimizer = make_optimizer(options.optimizer, options.learning_rate)
+        step = functools.partial(train_step, model, optimizer=make_optimizer(
+            options.optimizer, options.learning_rate))
 
     def record(it: int, split: str, loss: float, accuracy: float):
         rec = {"iteration": it, "split": split, "loss": loss,
@@ -609,37 +608,20 @@ def _run(config: DlrmConfig, options: RunOptions,
                 dense, sparse, labels = source.next_batch()
         else:
             dense, sparse, labels = batches[it]
-        if trainer is None:
-            result = train_step(model, dense, sparse, labels, optimizer,
-                                timer)
-        else:
-            result = trainer.step(dense, sparse, labels, timer)
+        result = step(dense, sparse, labels, timer=timer)
         record(it, "train", result.loss, result.accuracy)
         if (options.eval_interval and eval_batches
                 and (it + 1) % options.eval_interval == 0):
-            if trainer is not None:
-                _copy_back(model, trainer)
             record(it, "validation", *_evaluate(model, eval_batches))
     report.wall_seconds = time.perf_counter() - t0
     if options.enable_profiling:
         report.operator_seconds = dict(timer.seconds)
     if trainer is not None:
-        _copy_back(model, trainer)
         report.comm_report = format_comm_report(trainer.comm)
         trainer.close()
     if options.save_checkpoint:
         save_checkpoint(options.save_checkpoint, model)
     return report, metric_lines
-
-
-def _copy_back(model: DlrmModel, trainer: ParallelTrainer) -> None:
-    bottom, top = trainer.replica_params(0)
-    for dst, src in ((model.bottom, bottom), (model.top, top)):
-        for dl, sl in zip(dst.layers, src.layers):
-            dl.weight[...] = sl.weight
-            dl.bias[...] = sl.bias
-    for dst_t, src_t in zip(model.tables, trainer.tables):
-        dst_t.weights[...] = src_t.weights
 
 
 def run_training(config: DlrmConfig,

@@ -152,14 +152,17 @@ def mlp_forward(params: MlpParams, x: Matrix) -> tuple[Matrix, MlpCache]:
     return a, MlpCache(x, pre, post)
 
 
-def mlp_backward_trace(params: MlpParams, cache: MlpCache,
-                       grad_y: Matrix) -> tuple[list[tuple[Matrix, Matrix]], Matrix]:
+def mlp_backward_trace(params: MlpParams, cache: MlpCache, grad_y: Matrix
+                       ) -> tuple[list[tuple[Matrix, Matrix, np.ndarray,
+                                             np.ndarray]], Matrix]:
     """Per-sample backward sweep.
 
-    Returns per-layer (layer_input, grad_pre_activation) pairs plus the
-    gradient w.r.t. the MLP input. No cross-sample mixing happens here; the
-    weight/bias reductions are done separately so they can be made
-    partition-invariant.
+    Returns per-layer (layer_input, grad_pre_activation, column abs-max of
+    layer_input, column abs-max of grad_pre_activation) entries plus the
+    gradient w.r.t. the MLP input. The abs-maxima are over this call's rows
+    (zero for none); a max over them gives the shared reduction grids. No
+    cross-sample mixing happens here; the weight/bias reductions are done
+    separately so they can be made partition-invariant.
     """
     grad_a = np.asarray(grad_y, dtype=np.float64)
     if grad_a.shape != cache.post[-1].shape:
@@ -167,13 +170,15 @@ def mlp_backward_trace(params: MlpParams, cache: MlpCache,
             f"grad_y shape {grad_a.shape} does not match forward output "
             f"{cache.post[-1].shape}"
         )
-    pairs: list[tuple[Matrix, Matrix]] = [None] * len(params.layers)
+    traces: list[tuple] = [None] * len(params.layers)
     for l in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[l]
+        x = cache.layer_input(l)
         gz = grad_a * activation_grad(cache.pre[l], layer.activation)
-        pairs[l] = (cache.layer_input(l), gz)
+        traces[l] = (x, gz, np.abs(x).max(axis=0, initial=0.0),
+                     np.abs(gz).max(axis=0, initial=0.0))
         grad_a = matmul(gz, layer.weight)
-    return pairs, grad_a
+    return traces, grad_a
 
 
 def layer_grad_components(x_l: Matrix, gz_l: Matrix, x_max, gz_max,
@@ -191,14 +196,12 @@ def mlp_backward(params: MlpParams, cache: MlpCache, grad_y: Matrix,
     ``n_total`` is the full-batch row count the reduction grids are sized
     for; it defaults to the rows in the cache (serial training).
     """
-    pairs, grad_x = mlp_backward_trace(params, cache, grad_y)
+    traces, grad_x = mlp_backward_trace(params, cache, grad_y)
     if n_total is None:
         n_total = cache.x0.shape[0]
     dws, dbs = [], []
-    for x_l, gz_l in pairs:
-        x_max = np.abs(x_l).max(axis=0) if x_l.shape[0] else np.zeros(x_l.shape[1])
-        g_max = np.abs(gz_l).max(axis=0) if gz_l.shape[0] else np.zeros(gz_l.shape[1])
-        w_comps, b_comps = layer_grad_components(x_l, gz_l, x_max, g_max, n_total)
+    for trace in traces:
+        w_comps, b_comps = layer_grad_components(*trace, n_total)
         dws.append(dense.sum_components(w_comps))
         dbs.append(dense.sum_components(b_comps))
     return MlpGrads(dws, dbs), grad_x
@@ -326,14 +329,6 @@ class DlrmModel:
     bottom: MlpParams
     top: MlpParams
     tables: list[EmbeddingTable]
-
-    def copy(self) -> "DlrmModel":
-        return DlrmModel(
-            self.config,
-            self.bottom.copy(),
-            self.top.copy(),
-            [EmbeddingTable(t.weights.copy(), t.table_id) for t in self.tables],
-        )
 
 
 @dataclass

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dense
 from .dense import Matrix
-from .embedding import EmbeddingTable, SparseBatch, lookup_batch, lookup_backward
+from .embedding import SparseBatch, lookup_batch, lookup_backward
 from .model import (
     DlrmConfig,
     DlrmModel,
@@ -252,8 +252,8 @@ class _ShardResult:
 
     per_sample_loss: np.ndarray
     probs: np.ndarray
-    bottom_pairs: list[tuple[Matrix, Matrix]]
-    top_pairs: list[tuple[Matrix, Matrix]]
+    bottom_traces: list[tuple[Matrix, Matrix, np.ndarray, np.ndarray]]
+    top_traces: list[tuple[Matrix, Matrix, np.ndarray, np.ndarray]]
     emb_grads: list[Matrix]     # ascending table id
 
 
@@ -279,21 +279,16 @@ def _forward_backward(bottom: MlpParams, top: MlpParams, dense_x: Matrix,
         probs = activation(z[None, :], "sigmoid")[0]
         grad_logits = (probs - labels) / n_total
     with timer.section("top_mlp"):
-        top_pairs, grad_inter = mlp_backward_trace(
+        top_traces, grad_inter = mlp_backward_trace(
             top, top_cache, grad_logits[:, None])
     with timer.section("interaction"):
         grad_dense_repr, grad_embs = interact_backward(
             dense_repr, emb, grad_inter)
     with timer.section("bottom_mlp"):
-        bottom_pairs, _ = mlp_backward_trace(
+        bottom_traces, _ = mlp_backward_trace(
             bottom, bottom_cache, grad_dense_repr)
-    return _ShardResult(per_sample, probs, bottom_pairs, top_pairs, grad_embs)
-
-
-def _colmax(a: Matrix) -> np.ndarray:
-    if a.shape[0] == 0:
-        return np.zeros(a.shape[1])
-    return np.abs(a).max(axis=0)
+    return _ShardResult(per_sample, probs, bottom_traces, top_traces,
+                        grad_embs)
 
 
 def _combine(collective, per_replica: list):
@@ -301,28 +296,26 @@ def _combine(collective, per_replica: list):
     return per_replica[0] if len(per_replica) == 1 else collective(per_replica)
 
 
-def _reduce_mlp_grads(pairs_per_dev: list[list[tuple[Matrix, Matrix]]],
-                      n_total: int, run_per_device, timer
-                      ) -> tuple[MlpGrads, int, int]:
+def _reduce_mlp_grads(traces_per_dev: list[list[tuple]], n_total: int,
+                      run_per_device, timer) -> tuple[MlpGrads, int, int]:
     """Exact full-batch gradients of one MLP from every device's per-layer
-    (input, grad_pre_activation) pairs, plus the per-replica payload bytes
-    of the stat and component allreduces.
+    ``mlp_backward_trace`` entries, plus the per-replica payload bytes of
+    the stat and component allreduces.
 
-    Per layer: column abs-max allreduce (the shared grids), per-device
-    components, component allreduce, one rounding in ``sum_components``.
-    A layer's components are freed before the next layer's are built.
+    Per layer: allreduce of the local column abs-maxima (the shared grids),
+    per-device components, component allreduce, one rounding in
+    ``sum_components``. A layer's components are freed before the next
+    layer's are built.
     """
     grads = MlpGrads([], [])
     stat_payload = grad_payload = 0
-    for l in range(len(pairs_per_dev[0])):
+    for l in range(len(traces_per_dev[0])):
         with timer.section("allreduce"):
-            x_max = _combine(allreduce_max,
-                             [_colmax(p[l][0]) for p in pairs_per_dev])
-            g_max = _combine(allreduce_max,
-                             [_colmax(p[l][1]) for p in pairs_per_dev])
+            x_max = _combine(allreduce_max, [t[l][2] for t in traces_per_dev])
+            g_max = _combine(allreduce_max, [t[l][3] for t in traces_per_dev])
         with timer.section("device_compute"):
             comps = run_per_device(lambda d: layer_grad_components(
-                *pairs_per_dev[d][l], x_max, g_max, n_total))
+                *traces_per_dev[d][l][:2], x_max, g_max, n_total))
         with timer.section("allreduce"):
             w_comps = [_combine(allreduce, [c[0][i] for c in comps])
                        for i in range(len(dense.CROSS_TERMS))]
@@ -360,11 +353,11 @@ def train_step(model: DlrmModel, dense_x: Matrix,
     shard = _forward_backward(model.bottom, model.top, dense_x, emb_out,
                               labels, n_total, timer)
     grads = {}
-    for which, pairs in (("bottom", shard.bottom_pairs),
-                         ("top", shard.top_pairs)):
+    for which, traces in (("bottom", shard.bottom_traces),
+                          ("top", shard.top_traces)):
         with timer.section(f"{which}_mlp"):
             grads[which] = _reduce_mlp_grads(
-                [pairs], n_total, lambda fn: [fn(0)], NullTimer())[0]
+                [traces], n_total, lambda fn: [fn(0)], NullTimer())[0]
     with timer.section("embedding_lookup"):
         table_grads = [lookup_backward(tb, sb, g) for tb, sb, g
                        in zip(model.tables, batches, shard.emb_grads)]
@@ -381,6 +374,10 @@ def train_step(model: DlrmModel, dense_x: Matrix,
 class ParallelTrainer:
     """Replicated-MLP, partitioned-table trainer with simulated collectives.
 
+    It trains the model it is given in place: the tables are the model's
+    own (each table lives once, on its owner device), replica 0 is the
+    model's bottom and top MLP, and only replicas 1..P-1 are copies.
+
     ``concurrent=True`` runs per-device work on a thread pool; all
     cross-device reductions happen at barriers in ascending replica order, so
     both scheduler modes produce identical bits (asserted by the test suite).
@@ -393,16 +390,13 @@ class ParallelTrainer:
         if len(plan.table_assignment) != model.config.num_tables:
             raise ValueError("plan does not cover the model's tables")
         self.plan = plan
-        self.config = model.config
         self.replicas: list[tuple[MlpParams, MlpParams]] = [
-            (model.bottom.copy(), model.top.copy())
-            for _ in range(plan.num_devices)
-        ]
-        self.tables = [EmbeddingTable(t.weights.copy(), t.table_id)
-                       for t in model.tables]
+            (model.bottom, model.top)]
+        self.replicas += [(model.bottom.copy(), model.top.copy())
+                          for _ in range(plan.num_devices - 1)]
+        self.tables = model.tables
         self.optimizers = [make_optimizer(optimizer_name, lr, eps)
                            for _ in range(plan.num_devices)]
-        self.concurrent = concurrent
         self.comm = CommLog()
         self.step_count = 0
         self._pool = (ThreadPoolExecutor(max_workers=plan.num_devices)
@@ -484,7 +478,7 @@ class ParallelTrainer:
         grads = {}
         for which in ("bottom", "top"):
             grads[which], stat_payload, grad_payload = _reduce_mlp_grads(
-                [getattr(r, f"{which}_pairs") for r in shards], n_total,
+                [getattr(r, f"{which}_traces") for r in shards], n_total,
                 self._run_per_device, timer)
             for name, payload in (("stat_allreduce", stat_payload),
                                   ("grad_allreduce", grad_payload)):

@@ -73,6 +73,19 @@ class TestParse:
         assert config == config2
         assert options == options2
 
+    def test_round_trip_keeps_every_option(self):
+        config, options = parse_args(tiny_args([
+            "--use-gpu", "--enable-profiling", "--data-generation=synthetic",
+            "--synthetic-profiles=profiles", "--first-touch-boost=2.5",
+            "--mode=benchmark", "--metrics-file=m.jsonl",
+            "--report-file=r.txt", "--save-checkpoint=c.ckpt",
+            "--load-checkpoint=b.ckpt", "--eval-interval=2",
+            "--val-batches=1", "--learning-rate=0.05"]))
+        assert options.use_gpu
+        config2, options2 = parse_args(config_to_args(config, options))
+        assert config == config2
+        assert options == options2
+
     def test_criteo_requires_path_and_shape(self):
         with pytest.raises(CliError, match="criteo-path"):
             parse_args(["--data-generation=criteo"])
@@ -448,6 +461,33 @@ class TestMain:
                      f"--criteo-path={empty}", "--num-batches=1"])
         assert code == 1
         assert f"error: {empty}: no records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--criteo-path", "--criteo-val-path"])
+    def test_malformed_data_file_exits_1(self, tmp_path, capsys, flag):
+        good = tmp_path / "good.txt"
+        TestCriteoMode()._write_file(good, n=8)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1\t2\t3\n")
+        paths = {"--criteo-path": good, "--criteo-val-path": good, flag: bad}
+        sizes = "-".join(["40"] * 26)
+        code = main([f"--arch-embedding-size={sizes}",
+                     "--arch-sparse-feature-size=4", "--arch-mlp-bot=13-4",
+                     "--arch-mlp-top=6-1", "--data-generation=criteo",
+                     "--num-batches=1", "--mini-batch-size=4",
+                     "--eval-interval=1",
+                     *(f"{k}={v}" for k, v in paths.items())])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 1: expected 40 ")
+
+    def test_malformed_profile_file_exits_1(self, tmp_path, capsys):
+        save_profile(profile_trace([1, 2, 1]), tmp_path / "table_0.profile")
+        bad = tmp_path / "table_1.profile"
+        bad.write_text("1 2\nx y\n")
+        code = main(tiny_args(["--data-generation=synthetic",
+                               f"--synthetic-profiles={tmp_path}"]))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     def test_report_and_metric_files(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.jsonl"

@@ -1,5 +1,5 @@
-"""The demos that drive the serial step, ParallelTrainer and the run loops
-run to completion in a fresh interpreter."""
+"""The demos run to completion in a fresh interpreter (all but demo 03,
+which takes far longer than the rest)."""
 
 import os
 import subprocess
@@ -20,7 +20,9 @@ def run_demo(name: str) -> subprocess.CompletedProcess:
                           timeout=300)
 
 
-@pytest.mark.parametrize("name", ["04_train_dlrm.py", "07_benchmark_cli.py"])
+@pytest.mark.parametrize("name", [
+    "01_dense_kernels.py", "02_embedding_lookups.py", "04_train_dlrm.py",
+    "05_synthetic_traces.py", "07_benchmark_cli.py"])
 def test_demo_exits_0(name):
     proc = run_demo(name)
     assert proc.returncode == 0, proc.stderr

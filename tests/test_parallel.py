@@ -3,7 +3,7 @@ import pytest
 
 from dlrmkit.dense import RngStream
 from dlrmkit.embedding import SparseBatch, offsets_from_lengths
-from dlrmkit.model import DlrmConfig, init_model
+from dlrmkit.model import DlrmConfig, dlrm_backward, dlrm_forward, init_model
 from dlrmkit.optim import make_optimizer
 from dlrmkit.parallel import (
     CommLog,
@@ -241,6 +241,68 @@ class TestSerialEquivalence:
             assert pr.accuracy == sr.accuracy
             assert np.array_equal(pr.probs, sr.probs)
         trainer.close()
+
+
+def model_arrays(model):
+    return ([a for mlp in (model.bottom, model.top) for layer in mlp.layers
+             for a in (layer.weight, layer.bias)]
+            + [t.weights for t in model.tables])
+
+
+class TestInPlace:
+    @pytest.mark.parametrize("ndev", [1, 2, 3, 4])
+    def test_trains_the_callers_model(self, ndev):
+        cfg = toy_config(seed=45)
+        batches = gen_batches(cfg, 9, 10, seed=56)
+        serial = init_model(cfg)
+        opt = make_optimizer("adagrad", 0.1)
+        for b in batches:
+            train_step(serial, *b, opt)
+        model = init_model(cfg)
+        trainer = ParallelTrainer(model, make_plan(cfg, 9, ndev),
+                                  "adagrad", 0.1)
+        for b in batches:
+            trainer.step(*b)
+        trainer.close()
+        assert trainer.tables is model.tables
+        bottom, top = trainer.replica_params(0)
+        assert bottom is model.bottom and top is model.top
+        for want, got in zip(model_arrays(serial), model_arrays(model),
+                             strict=True):
+            assert np.array_equal(want, got)
+
+
+class _RecordingOptimizer:
+    """Keeps the gradients an optimizer is handed; applies none of them."""
+
+    def __init__(self):
+        self.mlp, self.tables = {}, []
+
+    def apply_mlp(self, params, grads, which):
+        self.mlp[which] = grads
+
+    def apply_table(self, table, grad):
+        self.tables.append(grad)
+
+
+@pytest.mark.parametrize("batch", [1, 4, 9])
+def test_train_step_gradients_equal_dlrm_backward(batch):
+    cfg = toy_config(seed=60 + batch)
+    dense, sparse, labels = gen_batches(cfg, batch, 1, seed=70 + batch)[0]
+    recorder = _RecordingOptimizer()
+    train_step(init_model(cfg), dense, sparse, labels, recorder)
+
+    reference = init_model(cfg)
+    prob, cache = dlrm_forward(reference, dense, sparse)
+    want = dlrm_backward(reference, cache, (prob - labels) / batch)
+    for which in ("bottom", "top"):
+        got, ref = recorder.mlp[which], getattr(want, which)
+        for g, r in zip(got.weights + got.biases, ref.weights + ref.biases,
+                        strict=True):
+            assert np.array_equal(g, r)
+    for got, ref in zip(recorder.tables, want.tables, strict=True):
+        assert np.array_equal(got.rows, ref.rows)
+        assert np.array_equal(got.values, ref.values)
 
 
 class TestCommReport:
