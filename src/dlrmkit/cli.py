@@ -321,7 +321,8 @@ class _SyntheticSource(_RandomSource):
                         f"{max(profile.uniques)} outside [0, {m})"
                     )
             else:
-                # long enough relative to m that repeat distances get mass
+                # long enough relative to m that repeat distances get mass;
+                # the cap bounds bootstrap memory and time on long runs
                 boot_len = min(max(planned, 4 * m, 64), 100000)
                 boot = self.stream.integers(0, m, size=boot_len)
                 profile = profile_trace(boot.tolist())

@@ -13,6 +13,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,30 +123,43 @@ class TraceProfile:
 
 
 def profile_trace(tr) -> TraceProfile:
-    """LRU-stack profile of an access trace.
+    """LRU-stack profile of an access trace, in O(n log n) time.
 
     First touches record distance 0 and append to the unique list; a repeat
-    found at depth d (top = 1) records d, is removed, and re-pushed on top.
+    found at depth d (top = 1) records d and moves to the top. The depth of
+    an id last accessed at time p is 1 plus the number of distinct ids
+    accessed since, counted as the ids whose latest access lies after p: a
+    Fenwick tree over access times keeps one mark at each id's latest access
+    (Bennett & Kruskal 1975).
     """
-    stack: list[int] = []       # recency stack, end of list = top
+    tr = [int(a) for a in tr]
+    n = len(tr)
+    tree = [0] * (n + 1)        # Fenwick tree over access times 1..n
+    latest: dict[int, int] = {}  # access id -> time of its latest access
     uniques: list[int] = []
     counts: dict[int, int] = {}
-    positions: dict[int, int] = {}  # access id -> index in `stack`, if present
-    for a in tr:
-        a = int(a)
-        idx = positions.get(a)
-        if idx is None:
+    for t, a in enumerate(tr, start=1):
+        p = latest.get(a)
+        if p is None:
             d = 0
             uniques.append(a)
         else:
-            d = len(stack) - idx
-            stack.pop(idx)
-            for other in stack[idx:]:
-                positions[other] -= 1
+            marked = 0          # marks at times 1..p
+            i = p
+            while i:
+                marked += tree[i]
+                i &= i - 1
+            d = len(latest) - marked + 1
+            i = p
+            while i <= n:
+                tree[i] -= 1
+                i += i & -i
+        i = t
+        while i <= n:
+            tree[i] += 1
+            i += i & -i
+        latest[a] = t
         counts[d] = counts.get(d, 0) + 1
-        positions[a] = len(stack)
-        stack.append(a)
-    n = sum(counts.values())
     probabilities = {d: c / n for d, c in sorted(counts.items())} if n else {}
     return TraceProfile(uniques, probabilities)
 
@@ -158,50 +172,49 @@ class TraceGenerator:
 
     Emission rule per event: sample a distance d from the profile restricted
     to the currently reachable support {0..seen} (renormalized); d == 0 pulls
-    the next unseen unique from the front, d > 0 re-emits the unique at
-    position d from the recent end. Once every unique has been seen, distance
-    0 leaves the support.
+    the next unseen unique in first-touch order, d > 0 re-emits the id at
+    depth d of the recency stack of seen ids. Once every unique has been
+    seen, distance 0 leaves the support.
+
+    ``next(count)`` draws the chunk's ``count`` uniforms from the stream in
+    one call before emitting, one per event in event order, so any split of
+    a trace into chunks consumes the same draws.
     """
 
     def __init__(self, profile: TraceProfile, stream: RngStream):
         profile.validate()
-        self.recency: list[int] = list(profile.uniques)
-        self.n_unseen = len(profile.uniques)
-        self.seen = 0
+        self.uniques: list[int] = list(profile.uniques)
+        self.recency: list[int] = []    # seen ids, end = top of the stack
         self.stream = stream
         self.p0 = profile.probabilities.get(0, 0.0)
-        dists = sorted(d for d in profile.probabilities if d > 0)
-        self._dists = np.array(dists, dtype=np.int64)
-        self._mass = np.array([profile.probabilities[d] for d in dists])
-        self._cum = np.cumsum(self._mass)
+        self._dists = sorted(d for d in profile.probabilities if d > 0)
+        self._cum = np.cumsum(
+            [profile.probabilities[d] for d in self._dists]).tolist()
 
     def next(self, count: int) -> list[int]:
+        uniques, recency, dists, cum = (self.uniques, self.recency,
+                                        self._dists, self._cum)
         out = []
-        for _ in range(count):
-            out.append(self._emit())
+        for u in self.stream.uniform(1, count)[0].tolist():
+            seen = len(recency)
+            k = bisect_right(dists, seen)
+            w0 = self.p0 if seen < len(uniques) else 0.0
+            reach = cum[k - 1] if k else 0.0
+            total = w0 + reach
+            if total <= 0.0:
+                raise RuntimeError(
+                    "empty sampling support: no reachable distance has mass "
+                    f"(seen={seen}, unseen={len(uniques) - seen})"
+                )
+            r = u * total
+            if r < w0:
+                a = uniques[seen]
+            else:
+                j = bisect_right(cum, r - w0, 0, k)
+                a = recency.pop(-dists[min(j, k - 1)])
+            recency.append(a)
+            out.append(a)
         return out
-
-    def _emit(self) -> int:
-        k = int(np.searchsorted(self._dists, self.seen, side="right"))
-        w0 = self.p0 if self.n_unseen > 0 else 0.0
-        reach = self._cum[k - 1] if k else 0.0
-        total = w0 + reach
-        if total <= 0.0:
-            raise RuntimeError(
-                "empty sampling support: no reachable distance has mass "
-                f"(seen={self.seen}, unseen={self.n_unseen})"
-            )
-        r = self.stream.random_scalar() * total
-        if r < w0:
-            a = self.recency.pop(0)
-            self.n_unseen -= 1
-            self.seen += 1
-        else:
-            j = int(np.searchsorted(self._cum[:k], r - w0, side="right"))
-            d = int(self._dists[min(j, k - 1)])
-            a = self.recency.pop(len(self.recency) - d)
-        self.recency.append(a)
-        return a
 
 
 def generate_trace(profile: TraceProfile, length: int,
@@ -327,7 +340,9 @@ def parse_criteo(line: str, vocab_sizes, lineno: int = 1) -> CriteoSample:
 
     Empty fields are legal: missing dense -> 0.0, missing categorical ->
     index 0, missing label -> 0. Dense values are clamped at 0 before the
-    log(1 + x) transform. Categorical tokens hash onto [0, vocab) per table.
+    log(1 + x) transform; a non-finite one (nan, inf, 1e999) is an error.
+    Categorical tokens hash onto [0, vocab) per table. Any malformed record
+    raises CriteoFormatError naming the line and the field.
     """
     fields = line.rstrip("\n").split("\t")
     expected = 1 + NUM_DENSE + NUM_CATEGORICAL
@@ -350,15 +365,26 @@ def parse_criteo(line: str, vocab_sizes, lineno: int = 1) -> CriteoSample:
     for i, tok in enumerate(fields[1:1 + NUM_DENSE]):
         if tok:
             try:
-                dense[i] = math.log1p(max(float(tok), 0.0))
+                value = float(tok)
             except ValueError:
                 raise CriteoFormatError(
                     f"line {lineno}: unparsable dense field {i}: {tok!r}"
                 )
+            if not math.isfinite(value):
+                raise CriteoFormatError(
+                    f"line {lineno}: non-finite dense field {i}: {tok!r}"
+                )
+            dense[i] = math.log1p(max(value, 0.0))
     cat = np.zeros(NUM_CATEGORICAL, dtype=np.int64)
     for i, tok in enumerate(fields[1 + NUM_DENSE:]):
         if tok:
-            cat[i] = _hash_token(tok) % int(vocab_sizes[i])
+            try:
+                cat[i] = _hash_token(tok) % int(vocab_sizes[i])
+            except UnicodeEncodeError:
+                raise CriteoFormatError(
+                    f"line {lineno}: categorical field {i} is not valid "
+                    f"UTF-8: {tok!r}"
+                )
     return CriteoSample(label, dense, cat)
 
 

@@ -69,9 +69,11 @@ def _as_matrix(a, name: str) -> Matrix:
 TILE_CANDIDATES = (32, 16, 8, 4, 2)
 # Probe shapes. OpenBLAS's AVX-512 kernels make a row's bits depend on its
 # position in tiles of 16 or more rows when N > 192 is not a multiple of 8,
-# so the N list includes such widths. Largest shapes come first so that a
-# failing tile height is rejected after few calls.
-_PROBE_K = (65, 64, 3, 1)
+# so the N list includes such widths. The K list reaches the depths of
+# production products (256 to 1024), with one depth that is not a multiple
+# of 8. Largest shapes come first so that a failing tile height is rejected
+# after few calls.
+_PROBE_K = (1024, 257, 65, 64, 3, 1)
 _PROBE_N = (1023, 257, 200, 193, 100, 64, 13, 7, 1)
 
 
@@ -235,9 +237,6 @@ class RngStream:
     def integers(self, low: int, high: int, size) -> np.ndarray:
         """Uniform integers in [low, high)."""
         return self._gen.integers(low, high, size=size, dtype=np.int64)
-
-    def random_scalar(self) -> float:
-        return float(self._gen.random())
 
 
 # ---------------------------------------------------------------------------

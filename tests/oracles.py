@@ -99,3 +99,74 @@ def multihot_matrix(batch, num_rows):
             w = 1.0 if batch.weights is None else batch.weights[pos]
             a[j, batch.indices[pos]] += w
     return a
+
+
+def profile_trace_ref(tr):
+    """O(n*U) LRU-stack profile: (uniques, {distance: mass}).
+
+    A list holds the recency stack (end = top); a repeat found at depth d
+    (top = 1) is popped and re-pushed, and every id above it moves down.
+    """
+    stack = []
+    uniques = []
+    counts = {}
+    positions = {}      # access id -> index in `stack`
+    for a in tr:
+        a = int(a)
+        idx = positions.get(a)
+        if idx is None:
+            d = 0
+            uniques.append(a)
+        else:
+            d = len(stack) - idx
+            stack.pop(idx)
+            for other in stack[idx:]:
+                positions[other] -= 1
+        counts[d] = counts.get(d, 0) + 1
+        positions[a] = len(stack)
+        stack.append(a)
+    n = sum(counts.values())
+    probabilities = {d: c / n for d, c in sorted(counts.items())} if n else {}
+    return uniques, probabilities
+
+
+class TraceGeneratorRef:
+    """Per-event replay of a profile: one scalar uniform per emitted id.
+
+    Each event restricts the distances to {0..seen} (distance 0 only while
+    unseen uniques remain), renormalizes, draws one uniform from the
+    stream's generator, and either pulls the next unseen unique from the
+    front of the recency list or re-emits the id at depth d from its end.
+    """
+
+    def __init__(self, uniques, probabilities, stream):
+        self.recency = list(uniques)
+        self.n_unseen = len(uniques)
+        self.seen = 0
+        self.stream = stream
+        self.p0 = probabilities.get(0, 0.0)
+        dists = sorted(d for d in probabilities if d > 0)
+        self._dists = np.array(dists, dtype=np.int64)
+        self._cum = np.cumsum([probabilities[d] for d in dists])
+
+    def next(self, count):
+        return [self._emit() for _ in range(count)]
+
+    def _emit(self):
+        k = int(np.searchsorted(self._dists, self.seen, side="right"))
+        w0 = self.p0 if self.n_unseen > 0 else 0.0
+        reach = self._cum[k - 1] if k else 0.0
+        total = w0 + reach
+        if total <= 0.0:
+            raise RuntimeError("empty sampling support")
+        r = float(self.stream._gen.random()) * total
+        if r < w0:
+            a = self.recency.pop(0)
+            self.n_unseen -= 1
+            self.seen += 1
+        else:
+            j = int(np.searchsorted(self._cum[:k], r - w0, side="right"))
+            d = int(self._dists[min(j, k - 1)])
+            a = self.recency.pop(len(self.recency) - d)
+        self.recency.append(a)
+        return a

@@ -480,6 +480,24 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: line 1: expected 40 ")
 
+    def test_non_finite_dense_value_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "day.txt"
+        TestCriteoMode()._write_file(data, n=8)
+        lines = data.read_text().splitlines()
+        fields = lines[2].split("\t")
+        fields[3] = "1e999"
+        lines[2] = "\t".join(fields)
+        data.write_text("\n".join(lines) + "\n")
+        sizes = "-".join(["40"] * 26)
+        code = main([f"--arch-embedding-size={sizes}",
+                     "--arch-sparse-feature-size=4", "--arch-mlp-bot=13-4",
+                     "--arch-mlp-top=6-1", "--data-generation=criteo",
+                     "--num-batches=1", "--mini-batch-size=4",
+                     f"--criteo-path={data}"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {data}: line 3: non-finite dense field 2: '1e999'")
+
     def test_malformed_profile_file_exits_1(self, tmp_path, capsys):
         save_profile(profile_trace([1, 2, 1]), tmp_path / "table_0.profile")
         bad = tmp_path / "table_1.profile"

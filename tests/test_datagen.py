@@ -25,7 +25,17 @@ from dlrmkit.datagen import (
 )
 from dlrmkit.dense import RngStream
 
-from oracles import total_variation
+from oracles import TraceGeneratorRef, profile_trace_ref, total_variation
+
+
+def assert_profile_equals_oracle(trace):
+    def hex_items(probabilities):
+        return [(d, mass.hex()) for d, mass in probabilities.items()]
+
+    p = profile_trace(trace)
+    uniques, probabilities = profile_trace_ref(trace)
+    assert p.uniques == uniques
+    assert hex_items(p.probabilities) == hex_items(probabilities)
 
 
 class TestDenseGeneration:
@@ -116,6 +126,29 @@ class TestProfileTrace:
         assert abs(math.fsum(p.probabilities.values()) - 1.0) <= 1e-12
         assert max(p.probabilities) <= len(p.uniques)
 
+    @pytest.mark.parametrize("trace", [
+        [],
+        [4] * 30,
+        list(range(500, 0, -1)),
+        RngStream(23).integers(0, 3, 2000).tolist(),
+        RngStream(24).integers(0, 10000, 20000).tolist(),
+    ], ids=["empty", "single-id", "all-distinct", "heavy-repeats",
+            "20k-over-10k"])
+    def test_equals_list_stack_oracle(self, trace):
+        assert_profile_equals_oracle(trace)
+
+    @given(st.one_of(
+        st.lists(st.integers(min_value=0, max_value=9), max_size=300),
+        st.lists(st.integers(min_value=0, max_value=10**6), unique=True,
+                 max_size=100),
+        st.integers().flatmap(lambda a: st.lists(st.just(a), max_size=50)),
+        st.lists(st.integers(min_value=-(2**63), max_value=2**63),
+                 max_size=200),
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_list_stack_oracle_fuzzed(self, trace):
+        assert_profile_equals_oracle(trace)
+
 
 class TestGenerateTrace:
     def test_first_emission_is_first_unique(self):
@@ -148,6 +181,30 @@ class TestGenerateTrace:
         assert gen.next(2) == [1, 2]
         with pytest.raises(RuntimeError, match="empty sampling support"):
             gen.next(1)
+
+    @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1,
+                    max_size=200),
+           st.floats(min_value=0.0, max_value=0.5),
+           st.integers(min_value=0, max_value=2**32),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=80),
+                              st.integers(min_value=0, max_value=3)),
+                    max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_chunks_equal_per_event_oracle(self, ids, floor, seed, chunks):
+        # a trailing repeat keeps distance mass once every unique is seen
+        profile = adjust_distribution(profile_trace(ids + ids[:1]), floor)
+        stream, ref_stream = RngStream(seed), RngStream(seed)
+        gen = TraceGenerator(profile, stream)
+        ref = TraceGeneratorRef(profile.uniques, profile.probabilities,
+                                ref_stream)
+        for count, extra in chunks:
+            assert gen.next(count) == ref.next(count)
+            # other consumers of the shared stream draw between chunks
+            for s in (stream, ref_stream):
+                s.integers(1, 5, size=extra)
+                s.uniform(1, extra)
+        assert (repr(stream._gen.bit_generator.state)
+                == repr(ref_stream._gen.bit_generator.state))
 
     def test_round_trip_distribution(self):
         rng = RngStream(18)
@@ -243,6 +300,17 @@ def criteo_line(label="1", dense=None, cats=None):
     return "\t".join([label] + list(dense) + list(cats))
 
 
+CRITEO_FIELD = st.one_of(
+    st.just(""),
+    st.integers(min_value=-10**6, max_value=10**30).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e999",
+                     "-1e999", "0x10", "1_000", " 7 ", "1e-400", "\ud800",
+                     "ad56b4f2"]),
+    st.text(st.characters(exclude_characters="\t"), max_size=8),
+)
+
+
 class TestCriteo:
     VOCAB = [100] * 26
 
@@ -281,6 +349,32 @@ class TestCriteo:
     def test_bad_label(self):
         with pytest.raises(CriteoFormatError):
             parse_criteo(criteo_line(label="2"), self.VOCAB)
+
+    @pytest.mark.parametrize("tok", ["nan", "inf", "-inf", "Infinity",
+                                     "1e999", "9" * 400])
+    def test_non_finite_dense_rejected(self, tok):
+        with pytest.raises(CriteoFormatError,
+                           match="line 3: non-finite dense field 4"):
+            parse_criteo(criteo_line(dense=[""] * 4 + [tok] + [""] * 8),
+                         self.VOCAB, lineno=3)
+
+    @given(st.one_of(st.sampled_from(["0", "1", ""]), CRITEO_FIELD),
+           st.one_of(st.lists(CRITEO_FIELD, min_size=39, max_size=39),
+                     st.lists(CRITEO_FIELD, max_size=44)))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_line_parses_cleanly_or_raises_format_error(self, label,
+                                                               rest):
+        vocab = [1, 2, 3, 97, 2**62] + [100] * 21
+        try:
+            s = parse_criteo("\t".join([label] + rest), vocab)
+        except CriteoFormatError:
+            return
+        assert s.label in (0, 1)
+        assert s.dense.shape == (13,)
+        assert np.all(np.isfinite(s.dense)) and np.all(s.dense >= 0.0)
+        assert s.categorical.shape == (26,)
+        assert np.all(s.categorical >= 0)
+        assert np.all(s.categorical < np.array(vocab))
 
     def test_read_plain_and_gzip(self, tmp_path):
         lines = [criteo_line(label=str(i % 2)) for i in range(5)]
