@@ -19,6 +19,8 @@ the package:
   float64. Exact arithmetic is associative, so the reduction result is
   bit-identical for any contiguous partition of the samples, the property
   that makes data-parallel gradient allreduce match serial training exactly.
+  Given ``out=``, they add a shard's components into an earlier shard's in
+  place, so a reduction over shards holds one set of components at a time.
 """
 
 from __future__ import annotations
@@ -291,21 +293,43 @@ def grid_components(a: Matrix, col_max: np.ndarray, n_total: int):
     return comps
 
 
-def outer_sum_components(gy: Matrix, x: Matrix, gy_max, x_max, n_total: int):
+def outer_sum_components(gy: Matrix, x: Matrix, gy_max, x_max, n_total: int,
+                         out=None):
     """Exact-slice components of sum_b outer(gy[b], x[b]).
 
     Returns one (gy_cols x x_cols) matrix per CROSS_TERMS pair. Each is an
     exact value: summing the per-shard components elementwise and then
     ``sum_components`` gives bits identical to computing over the full batch.
+
+    With ``out`` (a list of such matrices, say an earlier shard's result),
+    each product is computed into one reused buffer and added in place into
+    its ``out`` entry, which is returned; no other product matrix is
+    allocated. The adds are the ones an elementwise sum of the two lists
+    would make, so the bits are too.
     """
     gs = grid_components(gy, gy_max, n_total)
     xs = grid_components(x, x_max, n_total)
-    return [gs[p - 1].T @ xs[q - 1] for p, q in CROSS_TERMS]
+    if out is None:
+        return [gs[p - 1].T @ xs[q - 1] for p, q in CROSS_TERMS]
+    buf = np.empty((gs[0].shape[1], xs[0].shape[1]), dtype=np.float64)
+    for acc, (p, q) in zip(out, CROSS_TERMS):
+        np.matmul(gs[p - 1].T, xs[q - 1], out=buf)
+        acc += buf
+    return out
 
 
-def col_sum_components(a: Matrix, col_max, n_total: int):
-    """Exact-slice components of the per-column sum over samples."""
-    return [c.sum(axis=0) for c in grid_components(a, col_max, n_total)]
+def col_sum_components(a: Matrix, col_max, n_total: int, out=None):
+    """Exact-slice components of the per-column sum over samples.
+
+    With ``out`` (an earlier shard's result), the components are added into
+    it in place and it is returned, as in ``outer_sum_components``.
+    """
+    comps = grid_components(a, col_max, n_total)
+    if out is None:
+        return [c.sum(axis=0) for c in comps]
+    for acc, c in zip(out, comps):
+        acc += c.sum(axis=0)
+    return out
 
 
 def sum_components(components):

@@ -182,10 +182,17 @@ def mlp_backward_trace(params: MlpParams, cache: MlpCache, grad_y: Matrix
 
 
 def layer_grad_components(x_l: Matrix, gz_l: Matrix, x_max, gz_max,
-                          n_total: int):
-    """Exact reduction components for one layer's (grad_W, grad_b)."""
-    w_comps = dense.outer_sum_components(gz_l, x_l, gz_max, x_max, n_total)
-    b_comps = dense.col_sum_components(gz_l, gz_max, n_total)
+                          n_total: int, out=None):
+    """Exact reduction components for one layer's (grad_W, grad_b).
+
+    With ``out``, an earlier shard's ``(w_comps, b_comps)``, this shard's
+    components are added into it in place and it is returned (the ``out=``
+    contract of ``dense.outer_sum_components``).
+    """
+    w_out, b_out = (None, None) if out is None else out
+    w_comps = dense.outer_sum_components(gz_l, x_l, gz_max, x_max, n_total,
+                                         out=w_out)
+    b_comps = dense.col_sum_components(gz_l, gz_max, n_total, out=b_out)
     return w_comps, b_comps
 
 

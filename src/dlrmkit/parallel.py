@@ -8,7 +8,9 @@ count: per-sample computation never mixes rows, cross-sample gradient
 reductions use the exact grid components from :mod:`dlrmkit.dense` (invariant
 to contiguous partitioning), and every collective reduces in ascending
 replica order at fixed barriers, so results are also independent of the
-scheduler (single-threaded or thread pool).
+scheduler (single-threaded or thread pool). The MLP gradient allreduce is
+streamed: devices add their components, in ascending device order, into one
+running sum per layer, so only one device's contribution is in flight.
 """
 
 from __future__ import annotations
@@ -297,15 +299,21 @@ def _combine(collective, per_replica: list):
 
 
 def _reduce_mlp_grads(traces_per_dev: list[list[tuple]], n_total: int,
-                      run_per_device, timer) -> tuple[MlpGrads, int, int]:
+                      guard, timer) -> tuple[MlpGrads, int, int]:
     """Exact full-batch gradients of one MLP from every device's per-layer
     ``mlp_backward_trace`` entries, plus the per-replica payload bytes of
     the stat and component allreduces.
 
-    Per layer: allreduce of the local column abs-maxima (the shared grids),
-    per-device components, component allreduce, one rounding in
-    ``sum_components``. A layer's components are freed before the next
-    layer's are built.
+    Per layer: allreduce of the local column abs-maxima (the shared grids);
+    then the component allreduce, streamed in ascending device order, which
+    is the reduce-to-root order of ``allreduce``: device 0's components
+    become the running sum, and each later device adds its own into it in
+    place, one slice product at a time; then one rounding in
+    ``sum_components``. The adds are those of ``allreduce`` over the
+    per-device lists, so the bits are too, but only the running sum and one
+    product buffer are held instead of every device's components. A layer's
+    sum is freed before the next layer's is built. ``guard(fn, d)`` runs
+    device d's contribution ``fn(d)`` on the calling thread.
     """
     grads = MlpGrads([], [])
     stat_payload = grad_payload = 0
@@ -313,20 +321,19 @@ def _reduce_mlp_grads(traces_per_dev: list[list[tuple]], n_total: int,
         with timer.section("allreduce"):
             x_max = _combine(allreduce_max, [t[l][2] for t in traces_per_dev])
             g_max = _combine(allreduce_max, [t[l][3] for t in traces_per_dev])
+        sums = None
         with timer.section("device_compute"):
-            comps = run_per_device(lambda d: layer_grad_components(
-                *traces_per_dev[d][l][:2], x_max, g_max, n_total))
+            for d in range(len(traces_per_dev)):
+                sums = guard(lambda d: layer_grad_components(
+                    *traces_per_dev[d][l][:2], x_max, g_max, n_total,
+                    out=sums), d)
+        w_comps, b_comps = sums
         with timer.section("allreduce"):
-            w_comps = [_combine(allreduce, [c[0][i] for c in comps])
-                       for i in range(len(dense.CROSS_TERMS))]
-            b_comps = [_combine(allreduce, [c[1][i] for c in comps])
-                       for i in range(dense.LEVELS)]
-            del comps
             grads.weights.append(dense.sum_components(w_comps))
             grads.biases.append(dense.sum_components(b_comps))
         stat_payload += x_max.nbytes + g_max.nbytes
         grad_payload += sum(c.nbytes for c in w_comps + b_comps)
-        del w_comps, b_comps
+        del sums, w_comps, b_comps
     return grads, stat_payload, grad_payload
 
 
@@ -357,7 +364,7 @@ def train_step(model: DlrmModel, dense_x: Matrix,
                           ("top", shard.top_traces)):
         with timer.section(f"{which}_mlp"):
             grads[which] = _reduce_mlp_grads(
-                [traces], n_total, lambda fn: [fn(0)], NullTimer())[0]
+                [traces], n_total, lambda fn, d: fn(d), NullTimer())[0]
     with timer.section("embedding_lookup"):
         table_grads = [lookup_backward(tb, sb, g) for tb, sb, g
                        in zip(model.tables, batches, shard.emb_grads)]
@@ -381,6 +388,8 @@ class ParallelTrainer:
     ``concurrent=True`` runs per-device work on a thread pool; all
     cross-device reductions happen at barriers in ascending replica order, so
     both scheduler modes produce identical bits (asserted by the test suite).
+    The devices' contributions to the gradient allreduce run one at a time
+    on the calling thread, in device order, under either scheduler.
     """
 
     def __init__(self, model: DlrmModel, plan: DevicePlan,
@@ -474,12 +483,13 @@ class ParallelTrainer:
                               for d, r in enumerate(shards) if d != 0),
                           plan.num_devices)
 
-        # phase 4b: exact gradient allreduce, layer by layer
+        # phase 4b: exact gradient allreduce, layer by layer, each device
+        # adding into one running sum in device order under both schedulers
         grads = {}
         for which in ("bottom", "top"):
             grads[which], stat_payload, grad_payload = _reduce_mlp_grads(
                 [getattr(r, f"{which}_traces") for r in shards], n_total,
-                self._run_per_device, timer)
+                self._guard, timer)
             for name, payload in (("stat_allreduce", stat_payload),
                                   ("grad_allreduce", grad_payload)):
                 self.comm.add(step_idx, name,

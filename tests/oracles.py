@@ -170,3 +170,38 @@ class TraceGeneratorRef:
             a = self.recency.pop(len(self.recency) - d)
         self.recency.append(a)
         return a
+
+
+def reduce_mlp_grads_ref(traces_per_dev, n_total):
+    """The MLP gradient reduction that holds every device's components.
+
+    Per layer: max-allreduce of the local column abs-maxima, every device's
+    ``layer_grad_components``, one ``parallel.allreduce`` per component over
+    the per-device list (a lone device's used as is), and one
+    ``dense.sum_components`` rounding. Returns (weight grads, bias grads,
+    stat payload bytes, grad payload bytes).
+    """
+    from dlrmkit import dense
+    from dlrmkit.model import layer_grad_components
+    from dlrmkit.parallel import allreduce, allreduce_max
+
+    def combine(collective, per_replica):
+        return per_replica[0] if len(per_replica) == 1 else collective(
+            per_replica)
+
+    weights, biases = [], []
+    stat_payload = grad_payload = 0
+    for l in range(len(traces_per_dev[0])):
+        x_max = combine(allreduce_max, [t[l][2] for t in traces_per_dev])
+        g_max = combine(allreduce_max, [t[l][3] for t in traces_per_dev])
+        comps = [layer_grad_components(*t[l][:2], x_max, g_max, n_total)
+                 for t in traces_per_dev]
+        w_comps = [combine(allreduce, [c[0][i] for c in comps])
+                   for i in range(len(dense.CROSS_TERMS))]
+        b_comps = [combine(allreduce, [c[1][i] for c in comps])
+                   for i in range(dense.LEVELS)]
+        weights.append(dense.sum_components(w_comps))
+        biases.append(dense.sum_components(b_comps))
+        stat_payload += x_max.nbytes + g_max.nbytes
+        grad_payload += sum(c.nbytes for c in w_comps + b_comps)
+    return weights, biases, stat_payload, grad_payload

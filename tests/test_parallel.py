@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dlrmkit import parallel
 from dlrmkit.dense import RngStream
-from dlrmkit.embedding import SparseBatch, offsets_from_lengths
+from dlrmkit.embedding import SparseBatch, lookup_batch, offsets_from_lengths
 from dlrmkit.model import DlrmConfig, dlrm_backward, dlrm_forward, init_model
 from dlrmkit.optim import make_optimizer
 from dlrmkit.parallel import (
@@ -20,7 +23,9 @@ from dlrmkit.parallel import (
     train_step,
 )
 
-from oracles import brute_force_min_max_load
+from dlrmkit.timing import NullTimer
+
+from oracles import brute_force_min_max_load, reduce_mlp_grads_ref
 
 
 def toy_config(seed=0):
@@ -341,7 +346,108 @@ class TestCommReport:
         trainer.close()
 
 
+def _serial_guard(fn, device):
+    return fn(device)
+
+
+def _bits(arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+class TestStreamedReduction:
+    """``_reduce_mlp_grads`` adds each device's components into one running
+    sum; it must give the bits and payload bytes of the reduction that
+    builds every device's components first (``reduce_mlp_grads_ref``)."""
+
+    @pytest.mark.parametrize("batch", [5, 16])
+    @pytest.mark.parametrize("ndev", [1, 2, 3, 4, 7])
+    def test_equals_list_then_allreduce(self, ndev, batch):
+        # odd widths everywhere; 7 devices on 5 samples leaves empty shards
+        cfg = DlrmConfig(embedding_sizes=[11, 6, 9], sparse_dim=5,
+                         bottom_mlp_dims=[7, 9, 5], top_mlp_dims=[13, 3, 1],
+                         seed=ndev)
+        model = init_model(cfg)
+        dense_x, sparse, labels = gen_batches(cfg, batch, 1, seed=70)[0]
+        emb = [lookup_batch(t, sb) for t, sb in zip(model.tables, sparse)]
+        bounds = shard_bounds(batch, ndev)
+        shards = [parallel._forward_backward(
+            model.bottom, model.top, dense_x[lo:hi], [e[lo:hi] for e in emb],
+            labels[lo:hi], batch, NullTimer())
+            for lo, hi in zip(bounds, bounds[1:])]
+        for which in ("bottom", "top"):
+            traces = [getattr(r, f"{which}_traces") for r in shards]
+            want_w, want_b, want_stat, want_grad = reduce_mlp_grads_ref(
+                traces, batch)
+            grads, stat, grad = parallel._reduce_mlp_grads(
+                traces, batch, _serial_guard, NullTimer())
+            assert _bits(grads.weights) == _bits(want_w)
+            assert _bits(grads.biases) == _bits(want_b)
+            assert (stat, grad) == (want_stat, want_grad)
+
+    def test_peak_memory_holds_one_device_at_a_time(self):
+        # One 256 -> 256 layer over 256 samples. The streamed reduction on
+        # 4 devices may hold one product buffer more than on 1 device; the
+        # slack covers the vectors (column maxima, bias components).
+        n, width = 256, 256
+        buffer = width * width * 8
+        slack = 64 * 1024
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((n, width))
+        gz = rng.standard_normal((n, width))
+
+        def traces(ndev):
+            bounds = shard_bounds(n, ndev)
+            return [[(x[lo:hi], gz[lo:hi],
+                      np.abs(x[lo:hi]).max(axis=0, initial=0.0),
+                      np.abs(gz[lo:hi]).max(axis=0, initial=0.0))]
+                     for lo, hi in zip(bounds, bounds[1:])]
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                fn()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        def streamed(ndev):
+            t = traces(ndev)
+            return peak(lambda: parallel._reduce_mlp_grads(
+                t, n, _serial_guard, NullTimer()))
+
+        one, four = streamed(1), streamed(4)
+        assert one >= 6 * buffer        # numpy allocations are traced
+        assert four <= one + buffer + slack
+        # holding every device's components at once breaks the bound
+        t4 = traces(4)
+        assert peak(lambda: reduce_mlp_grads_ref(t4, n)) > one + buffer + slack
+
+
 class TestErrors:
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_failing_gradient_contribution_names_its_device(
+            self, monkeypatch, concurrent):
+        calls = []
+        real = parallel.layer_grad_components
+
+        def third_call_fails(*args, **kwargs):
+            calls.append(len(calls))
+            if len(calls) == 3:
+                raise ValueError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "layer_grad_components",
+                            third_call_fails)
+        cfg = toy_config(seed=51)
+        trainer = ParallelTrainer(init_model(cfg), make_plan(cfg, 8, 4),
+                                  "sgd", 0.1, concurrent=concurrent)
+        batch = gen_batches(cfg, 8, 1, seed=62)[0]
+        with pytest.raises(RuntimeError, match="^device 2: injected$"):
+            trainer.step(*batch)
+        trainer.close()
+
     def test_device_context_on_failure(self):
         cfg = toy_config(seed=49)
         model = init_model(cfg)
