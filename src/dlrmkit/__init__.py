@@ -31,8 +31,6 @@ from .model import (
     FmParams,
     MlpParams,
     bce_from_logits,
-    bce_loss,
-    dlrm_backward,
     dlrm_forward,
     embedding_param_count,
     fm_predict,

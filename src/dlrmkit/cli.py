@@ -276,7 +276,6 @@ class _RandomSource:
             table_sizes=list(config.embedding_sizes),
             indices_per_lookup=options.num_indices_per_lookup,
             indices_fixed=options.num_indices_per_lookup_fixed,
-            seed=config.seed,
         )
         self.stream = RngStream(config.seed).derive(self.stream_key, key)
 
@@ -548,10 +547,8 @@ def _build_model(config: DlrmConfig, options: RunOptions) -> DlrmModel:
 def _evaluate(model: DlrmModel, eval_batches) -> tuple[float, float]:
     losses, correct, total = [], 0, 0
     for dense, sparse, labels in eval_batches:
-        prob, cache = dlrm_forward(model, dense, sparse)
-        z = cache.top_cache.post[-1][:, 0]
-        _, _, per = bce_from_logits(z, labels)
-        losses.append(per)
+        prob, logits = dlrm_forward(model, dense, sparse)
+        losses.append(bce_from_logits(logits, labels))
         correct += int(np.sum((prob > 0.5) == (labels > 0.5)))
         total += labels.shape[0]
     per_all = np.concatenate(losses)

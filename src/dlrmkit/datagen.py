@@ -53,16 +53,12 @@ class RandomDataSpec:
     table_sizes: list[int]          # rows m per table
     indices_per_lookup: int         # k
     indices_fixed: bool = False     # exactly k, else uniform in [1, k]
-    distribution: str = "uniform"   # dense feature law: uniform | normal
-    seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1 or self.dense_dim < 1:
             raise ValueError("batch size and dense dim must be positive")
         if self.indices_per_lookup < 1:
             raise ValueError("indices per lookup must be positive")
-        if self.distribution not in ("uniform", "normal"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
         for m in self.table_sizes:
             if self.indices_per_lookup > m:
                 raise ValueError(
@@ -72,9 +68,8 @@ class RandomDataSpec:
 
 
 def gen_dense_batch(spec: RandomDataSpec, stream: RngStream) -> Matrix:
-    if spec.distribution == "uniform":
-        return stream.uniform(spec.batch_size, spec.dense_dim)
-    return stream.normal(spec.batch_size, spec.dense_dim)
+    """Dense features uniform on [0, 1)."""
+    return stream.uniform(spec.batch_size, spec.dense_dim)
 
 
 def gen_sparse_batch(spec: RandomDataSpec, table_index: int,
@@ -104,17 +99,22 @@ def gen_sparse_batch(spec: RandomDataSpec, table_index: int,
 class TraceProfile:
     """Ordered unique accesses plus the stack-distance distribution.
 
-    probabilities maps distance d (0 = first touch) to mass; masses sum to 1
-    within 1e-12 for a nonempty trace.
+    probabilities maps distance d (0 = first touch) to mass; each mass lies
+    in [0, 1] and they sum to 1 within 1e-12 for a nonempty trace.
     """
 
     uniques: list[int]
     probabilities: dict[int, float]
 
     def validate(self):
+        for d, mass in self.probabilities.items():
+            # false for NaN; the upper bound also keeps fsum from overflowing
+            if not 0.0 <= mass <= 1.0:
+                raise ValueError(
+                    f"distance {d} has mass {mass!r}, outside [0, 1]")
         if self.probabilities:
             total = math.fsum(self.probabilities.values())
-            if abs(total - 1.0) > 1e-12:
+            if not abs(total - 1.0) <= 1e-12:   # a NaN total fails too
                 raise ValueError(f"distance masses sum to {total}, not 1")
         if any(d < 0 for d in self.probabilities):
             raise ValueError("distances must be nonnegative")

@@ -39,7 +39,6 @@ __all__ = [
     "dot",
     "activation",
     "activation_grad",
-    "ACTIVATION_KINDS",
     "CROSS_TERMS",
     "reduction_bits",
     "grid_components",
@@ -165,9 +164,6 @@ def dot(u, v) -> float:
 
 # ---------------------------------------------------------------------------
 # activations
-
-ACTIVATION_KINDS = ("relu", "sigmoid", "identity")
-
 
 def activation(x: np.ndarray, kind: str) -> np.ndarray:
     """Componentwise activation map."""

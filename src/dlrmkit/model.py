@@ -6,19 +6,21 @@ and an analytic parameter counter.
 Weight-gradient reductions over the mini-batch go through the grid-component
 scheme in :mod:`dlrmkit.dense`, which is what lets the data-parallel simulator
 reproduce serial training bit-for-bit. Forward passes and per-sample backward
-sweeps only ever mix values within one sample row.
+sweeps only ever mix values within one sample row. The forward pass is
+written once, in ``forward_logits``: the training step core and
+``dlrm_forward`` (evaluation) both run it.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dense
 from .dense import Matrix, RngStream, matmul, activation, activation_grad
-from .embedding import EmbeddingTable, SparseBatch, SparseRowGrad, lookup_batch, lookup_backward
+from .embedding import EmbeddingTable, SparseBatch, lookup_batch
+from .timing import NullTimer
 
 __all__ = [
     "MlpLayer",
@@ -28,8 +30,6 @@ __all__ = [
     "FmParams",
     "DlrmConfig",
     "DlrmModel",
-    "DlrmCache",
-    "DlrmGradients",
     "init_mlp",
     "mlp_forward",
     "mlp_backward",
@@ -39,9 +39,8 @@ __all__ = [
     "interact_backward",
     "interaction_width",
     "init_model",
+    "forward_logits",
     "dlrm_forward",
-    "dlrm_backward",
-    "bce_loss",
     "bce_from_logits",
     "fm_predict",
     "fm_predict_naive",
@@ -49,20 +48,6 @@ __all__ = [
     "embedding_param_count",
     "mlp_param_count",
 ]
-
-
-class StageError(RuntimeError):
-    """Failure inside a named model stage."""
-
-
-@contextmanager
-def _stage(name: str):
-    try:
-        yield
-    except StageError:
-        raise
-    except Exception as e:
-        raise StageError(f"stage '{name}': {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +186,10 @@ def mlp_backward(params: MlpParams, cache: MlpCache, grad_y: Matrix,
     """Exact reverse-mode gradients for every layer, plus grad wrt input.
 
     ``n_total`` is the full-batch row count the reduction grids are sized
-    for; it defaults to the rows in the cache (serial training).
+    for; it defaults to the rows in the cache. Training does not call this:
+    the step core reduces ``mlp_backward_trace`` entries across devices
+    itself. It is the per-layer reference that the tests (and the reference
+    model backward in ``tests/oracles.py``) compare against.
     """
     traces, grad_x = mlp_backward_trace(params, cache, grad_y)
     if n_total is None:
@@ -338,24 +326,6 @@ class DlrmModel:
     tables: list[EmbeddingTable]
 
 
-@dataclass
-class DlrmCache:
-    dense_x: Matrix
-    batches: list[SparseBatch]
-    bottom_cache: MlpCache
-    emb_outputs: list[Matrix]
-    interact_out: Matrix
-    top_cache: MlpCache
-    prob: np.ndarray
-
-
-@dataclass
-class DlrmGradients:
-    bottom: MlpGrads
-    top: MlpGrads
-    tables: list[SparseRowGrad]
-
-
 def init_model(config: DlrmConfig) -> DlrmModel:
     root = RngStream(config.seed)
     bottom = init_mlp(list(config.bottom_mlp_dims),
@@ -371,9 +341,36 @@ def init_model(config: DlrmConfig) -> DlrmModel:
     return DlrmModel(config, bottom, top, tables)
 
 
+def forward_logits(bottom: MlpParams, top: MlpParams, dense_x: Matrix,
+                   emb_outputs: list[Matrix], timer=None
+                   ) -> tuple[np.ndarray, MlpCache, MlpCache]:
+    """The model's forward pass from pooled embeddings to logits:
+    top_mlp(interact(bottom_mlp(x), emb_outputs)).
+
+    Returns the logits (one per sample) and the bottom and top MLP caches
+    the backward sweeps read; the processed dense vector is the bottom
+    cache's last activation. Timed under ``bottom_mlp``, ``interaction`` and
+    ``top_mlp`` when a timer is given. Every step runs through this, serial
+    or per device, and so does ``dlrm_forward``.
+    """
+    timer = timer or NullTimer()
+    with timer.section("bottom_mlp"):
+        dense_repr, bottom_cache = mlp_forward(bottom, dense_x)
+    with timer.section("interaction"):
+        inter = interact(dense_repr, emb_outputs)
+    with timer.section("top_mlp"):
+        logits, top_cache = mlp_forward(top, inter)
+    return logits[:, 0], bottom_cache, top_cache
+
+
 def dlrm_forward(model: DlrmModel, dense_x: Matrix,
-                 batches: list[SparseBatch]) -> tuple[np.ndarray, DlrmCache]:
-    """prob = sigmoid(top_mlp(interact(bottom_mlp(x), lookups)))."""
+                 batches: list[SparseBatch]) -> tuple[np.ndarray, np.ndarray]:
+    """prob = sigmoid(top_mlp(interact(bottom_mlp(x), lookups))).
+
+    The table lookups followed by ``forward_logits``; returns the
+    probabilities and the logits, one per sample. Evaluation uses it, and
+    it is the public way to score a batch.
+    """
     cfg = model.config
     if len(batches) != cfg.num_tables:
         raise ValueError(
@@ -386,77 +383,27 @@ def dlrm_forward(model: DlrmModel, dense_x: Matrix,
             raise ValueError(
                 f"sparse batch {t} has {sb.num_segments} segments, batch is {b}"
             )
-    with _stage("bottom_mlp"):
-        dense_repr, bottom_cache = mlp_forward(model.bottom, dense_x)
-    with _stage("embedding_lookup"):
-        emb_outputs = [lookup_batch(tb, sb)
-                       for tb, sb in zip(model.tables, batches)]
-    with _stage("interaction"):
-        inter = interact(dense_repr, emb_outputs)
-    with _stage("top_mlp"):
-        logits, top_cache = mlp_forward(model.top, inter)
-    prob = activation(logits, "sigmoid")[:, 0]
-    return prob, DlrmCache(dense_x, batches, bottom_cache, emb_outputs,
-                           inter, top_cache, prob)
-
-
-def dlrm_backward(model: DlrmModel, cache: DlrmCache,
-                  grad_logits: np.ndarray,
-                  n_total: int | None = None) -> DlrmGradients:
-    """Exact gradients for every parameter from d(loss)/d(logits)."""
-    grad_logits = np.asarray(grad_logits, dtype=np.float64)
-    with _stage("top_mlp_backward"):
-        top_grads, grad_inter = mlp_backward(
-            model.top, cache.top_cache, grad_logits[:, None], n_total)
-    with _stage("interaction_backward"):
-        grad_dense_repr, grad_embs = interact_backward(
-            cache.bottom_cache.post[-1], cache.emb_outputs, grad_inter)
-    with _stage("bottom_mlp_backward"):
-        bottom_grads, _ = mlp_backward(
-            model.bottom, cache.bottom_cache, grad_dense_repr, n_total)
-    with _stage("embedding_backward"):
-        table_grads = [
-            lookup_backward(tb, sb, g)
-            for tb, sb, g in zip(model.tables, cache.batches, grad_embs)
-        ]
-    return DlrmGradients(bottom_grads, top_grads, table_grads)
+    emb_outputs = [lookup_batch(tb, sb)
+                   for tb, sb in zip(model.tables, batches)]
+    logits, _, _ = forward_logits(model.bottom, model.top, dense_x,
+                                  emb_outputs)
+    return activation(logits, "sigmoid"), logits
 
 
 # ---------------------------------------------------------------------------
 # loss
 
-def bce_loss(prob: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy and the gradient w.r.t. pre-sigmoid logits.
+def bce_from_logits(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-sample binary cross-entropy of sigmoid(logits) against labels.
 
-    Requires probs strictly inside (0, 1). The logit gradient is
-    (p - y) / batch, exact for the sigmoid/BCE composition.
-    """
-    p = np.asarray(prob, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if p.size == 0:
-        raise ValueError("empty batch")
-    if p.shape != y.shape:
-        raise ValueError(f"prob shape {p.shape} != labels shape {y.shape}")
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("probabilities must lie strictly in (0, 1)")
-    per = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
-    return float(per.mean()), (p - y) / p.shape[0]
-
-
-def bce_from_logits(logits: np.ndarray,
-                    labels: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Overflow-safe BCE evaluated from logits; returns (mean, grad, per-sample).
-
-    Same mathematical value/gradient as bce_loss(sigmoid(z), y); usable even
-    where sigmoid saturates to exactly 0 or 1 in float64.
+    Evaluated from the logits, max(z, 0) - z*y + log1p(exp(-|z|)), so it is
+    finite even where sigmoid saturates to exactly 0 or 1 in float64. An
+    empty batch gives an empty array. Callers take the mean; its gradient
+    w.r.t. the logits is (sigmoid(z) - y) / batch.
     """
     z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    if z.size == 0:
-        raise ValueError("empty batch")
-    per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    grad = (activation(z[None, :], "sigmoid")[0] - y) / z.shape[0]
-    return float(per.mean()), grad, per
+    return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,20 @@
-"""Independent reference implementations used as test oracles.
+"""Reference implementations used as test oracles.
 
-These intentionally avoid the library's code paths: naive loops, brute-force
-enumeration, and central finite differences.
+Most of these intentionally avoid the library's code paths: naive loops,
+brute-force enumeration, and central finite differences.
+
+The model references at the end (``dlrm_forward_ref``, ``dlrm_backward_ref``,
+``bce_loss_ref``, ``reduce_mlp_grads_ref``) are different: they reuse the
+library's kernels (``mlp_forward``, ``mlp_backward``, ``interact``, lookups,
+the exact reductions) and compose them the way the library once did, in
+plain serial form. They are kept as references that pin the training path to
+that composition bit for bit, not as independent oracles; the independent
+check of the gradients is central differences.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,3 +214,92 @@ def reduce_mlp_grads_ref(traces_per_dev, n_total):
         stat_payload += x_max.nbytes + g_max.nbytes
         grad_payload += sum(c.nbytes for c in w_comps + b_comps)
     return weights, biases, stat_payload, grad_payload
+
+
+@dataclass
+class DlrmCache:
+    """Everything ``dlrm_backward_ref`` reads from the forward pass."""
+
+    dense_x: np.ndarray
+    batches: list
+    bottom_cache: object    # model.MlpCache
+    emb_outputs: list
+    interact_out: np.ndarray
+    top_cache: object       # model.MlpCache
+    prob: np.ndarray
+
+
+@dataclass
+class DlrmGradients:
+    bottom: object          # model.MlpGrads
+    top: object             # model.MlpGrads
+    tables: list            # embedding.SparseRowGrad per table
+
+
+def dlrm_forward_ref(model, dense_x, batches):
+    """prob = sigmoid(top_mlp(interact(bottom_mlp(x), lookups))), with the
+    cache of every intermediate; returns (prob, DlrmCache)."""
+    from dlrmkit.dense import activation
+    from dlrmkit.embedding import lookup_batch
+    from dlrmkit.model import interact, mlp_forward
+
+    dense_x = np.asarray(dense_x, dtype=np.float64)
+    dense_repr, bottom_cache = mlp_forward(model.bottom, dense_x)
+    emb_outputs = [lookup_batch(tb, sb)
+                   for tb, sb in zip(model.tables, batches)]
+    inter = interact(dense_repr, emb_outputs)
+    logits, top_cache = mlp_forward(model.top, inter)
+    prob = activation(logits, "sigmoid")[:, 0]
+    return prob, DlrmCache(dense_x, batches, bottom_cache, emb_outputs,
+                           inter, top_cache, prob)
+
+
+def dlrm_backward_ref(model, cache, grad_logits, n_total=None):
+    """Gradients of every parameter from d(loss)/d(logits), one serial
+    ``mlp_backward`` per MLP."""
+    from dlrmkit.embedding import lookup_backward
+    from dlrmkit.model import interact_backward, mlp_backward
+
+    grad_logits = np.asarray(grad_logits, dtype=np.float64)
+    top_grads, grad_inter = mlp_backward(
+        model.top, cache.top_cache, grad_logits[:, None], n_total)
+    grad_dense_repr, grad_embs = interact_backward(
+        cache.bottom_cache.post[-1], cache.emb_outputs, grad_inter)
+    bottom_grads, _ = mlp_backward(
+        model.bottom, cache.bottom_cache, grad_dense_repr, n_total)
+    table_grads = [lookup_backward(tb, sb, g)
+                   for tb, sb, g in zip(model.tables, cache.batches,
+                                        grad_embs)]
+    return DlrmGradients(bottom_grads, top_grads, table_grads)
+
+
+def bce_loss_ref(prob, labels):
+    """Mean binary cross-entropy from probabilities strictly inside (0, 1),
+    and its gradient w.r.t. the pre-sigmoid logits, (p - y) / batch."""
+    p = np.asarray(prob, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    if p.size == 0:
+        raise ValueError("empty batch")
+    if p.shape != y.shape:
+        raise ValueError(f"prob shape {p.shape} != labels shape {y.shape}")
+    if np.any(p <= 0.0) or np.any(p >= 1.0):
+        raise ValueError("probabilities must lie strictly in (0, 1)")
+    per = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
+    return float(per.mean()), (p - y) / p.shape[0]
+
+
+class RecordingOptimizer:
+    """Keeps the gradients an optimizer is handed; applies none of them.
+
+    Passed to ``train_step``, it captures the training path's gradients
+    without changing the model.
+    """
+
+    def __init__(self):
+        self.mlp, self.tables = {}, []
+
+    def apply_mlp(self, params, grads, which):
+        self.mlp[which] = grads
+
+    def apply_table(self, table, grad):
+        self.tables.append(grad)

@@ -140,12 +140,17 @@ class TestRunTraining:
         _, lines2 = run_training(config, options)
         assert lines1 == lines2
 
-    def test_parallel_matches_serial_run(self):
-        config, options = parse_args(tiny_args(["--emit=json"]))
+    @pytest.mark.parametrize("devices", [2, 3])
+    def test_parallel_matches_serial_run(self, devices):
+        # validation records included: evaluation reads the trained model
+        flags = ["--emit=json", "--eval-interval=2", "--val-batches=2",
+                 "--optimizer=adagrad"]
+        config, options = parse_args(tiny_args(flags))
         _, serial_lines = run_training(config, options)
         config2, options2 = parse_args(
-            tiny_args(["--emit=json", "--num-devices=2"]))
+            tiny_args([*flags, f"--num-devices={devices}"]))
         report, par_lines = run_training(config2, options2)
+        assert sum('"validation"' in line for line in serial_lines) == 5
         assert serial_lines == par_lines
         assert report.comm_report is not None
 
@@ -499,13 +504,21 @@ class TestMain:
             f"error: {data}: line 3: non-finite dense field 2: '1e999'")
 
     def test_malformed_profile_file_exits_1(self, tmp_path, capsys):
-        save_profile(profile_trace([1, 2, 1]), tmp_path / "table_0.profile")
-        bad = tmp_path / "table_1.profile"
-        bad.write_text("1 2\nx y\n")
-        code = main(tiny_args(["--data-generation=synthetic",
-                               f"--synthetic-profiles={tmp_path}"]))
-        assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        for case, text in enumerate([
+            "1 2\nx y\n",
+            "0 1 2 3\n0 nan\n",       # NaN slips past abs(total - 1) > tol
+            "0 1\n0 1.5\n1 -0.5\n",  # a negative mass, summing to 1
+        ]):
+            profiles = tmp_path / str(case)
+            profiles.mkdir()
+            save_profile(profile_trace([1, 2, 1]),
+                         profiles / "table_0.profile")
+            bad = profiles / "table_1.profile"
+            bad.write_text(text)
+            code = main(tiny_args(["--data-generation=synthetic",
+                                   f"--synthetic-profiles={profiles}"]))
+            assert code == 1
+            assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     def test_report_and_metric_files(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.jsonl"

@@ -6,7 +6,7 @@ import pytest
 from dlrmkit import parallel
 from dlrmkit.dense import RngStream
 from dlrmkit.embedding import SparseBatch, lookup_batch, offsets_from_lengths
-from dlrmkit.model import DlrmConfig, dlrm_backward, dlrm_forward, init_model
+from dlrmkit.model import DlrmConfig, init_model
 from dlrmkit.optim import make_optimizer
 from dlrmkit.parallel import (
     CommLog,
@@ -25,7 +25,13 @@ from dlrmkit.parallel import (
 
 from dlrmkit.timing import NullTimer
 
-from oracles import brute_force_min_max_load, reduce_mlp_grads_ref
+from oracles import (
+    RecordingOptimizer,
+    brute_force_min_max_load,
+    dlrm_backward_ref,
+    dlrm_forward_ref,
+    reduce_mlp_grads_ref,
+)
 
 
 def toy_config(seed=0):
@@ -277,29 +283,16 @@ class TestInPlace:
             assert np.array_equal(want, got)
 
 
-class _RecordingOptimizer:
-    """Keeps the gradients an optimizer is handed; applies none of them."""
-
-    def __init__(self):
-        self.mlp, self.tables = {}, []
-
-    def apply_mlp(self, params, grads, which):
-        self.mlp[which] = grads
-
-    def apply_table(self, table, grad):
-        self.tables.append(grad)
-
-
 @pytest.mark.parametrize("batch", [1, 4, 9])
 def test_train_step_gradients_equal_dlrm_backward(batch):
     cfg = toy_config(seed=60 + batch)
     dense, sparse, labels = gen_batches(cfg, batch, 1, seed=70 + batch)[0]
-    recorder = _RecordingOptimizer()
+    recorder = RecordingOptimizer()
     train_step(init_model(cfg), dense, sparse, labels, recorder)
 
     reference = init_model(cfg)
-    prob, cache = dlrm_forward(reference, dense, sparse)
-    want = dlrm_backward(reference, cache, (prob - labels) / batch)
+    prob, cache = dlrm_forward_ref(reference, dense, sparse)
+    want = dlrm_backward_ref(reference, cache, (prob - labels) / batch)
     for which in ("bottom", "top"):
         got, ref = recorder.mlp[which], getattr(want, which)
         for g, r in zip(got.weights + got.biases, ref.weights + ref.biases,
