@@ -71,6 +71,21 @@ class EmbeddingTable:
         return cls(w, table_id)
 
 
+def _integral_indices(indices) -> np.ndarray:
+    """``indices`` as int64; a non-integral or non-finite value raises
+    instead of being truncated."""
+    raw = np.asarray(indices)
+    if raw.dtype.kind not in "iu":
+        as_float = raw.astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(as_float)
+                             | (as_float != np.floor(as_float)))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"indices must be integers, got "
+                             f"{raw.flat[k]} at flat position {k}")
+    return raw.astype(np.int64, copy=False)
+
+
 @dataclass
 class SparseBatch:
     """offsets/indices(/weights) encoding of t pooled lookups."""
@@ -81,7 +96,7 @@ class SparseBatch:
 
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=np.int64)
-        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.indices = _integral_indices(self.indices)
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=np.float64)
         self.validate()
@@ -94,6 +109,9 @@ class SparseBatch:
             raise ValueError(f"offsets[0] must be 0, got {o[0]}")
         if np.any(np.diff(o) < 0):
             raise ValueError("offsets must be nondecreasing")
+        if self.indices.ndim != 1:
+            raise ValueError(
+                f"indices must be 1-D, got shape {self.indices.shape}")
         if o[-1] != self.indices.shape[0]:
             raise ValueError(
                 f"terminal offset {o[-1]} != len(indices) {self.indices.shape[0]}"
@@ -179,13 +197,28 @@ def lookup_batch(table: EmbeddingTable, batch: SparseBatch) -> Matrix:
     return out
 
 
+# Rows still folding when fewer than this many are left finish with one
+# np.add.at, so a row hit thousands of times does not cost as many rounds.
+_TAIL_ROWS = 32
+
+
 def lookup_backward(table: EmbeddingTable, batch: SparseBatch,
                     grad_out: Matrix) -> SparseRowGrad:
-    """Adjoint of lookup_batch: scatter-accumulate grad rows onto table rows.
+    """Adjoint of lookup_batch: accumulate grad rows onto table rows.
 
     Row r receives sum of grad_out[segment(k)] * weight[k] over every flat
-    position k with indices[k] == r, folded in ascending k. Untouched rows are
-    absent from the result; output rows are sorted ascending.
+    position k with indices[k] == r, folded in ascending k from a zero row.
+    Untouched rows are absent from the result; output rows are sorted
+    ascending.
+
+    Positions are stable-sorted by row once. Round 0 starts every row with
+    its first contribution (plus 0.0, which a fold from a zero row adds);
+    round r adds the r-th contribution of every row that has one, in one
+    vectorised add over distinct rows. Once fewer than ``_TAIL_ROWS`` rows
+    are left, their remaining positions go to one ``np.add.at`` in
+    ascending order. Each row therefore sees the same additions in the same
+    order as a strict ascending fold, and the bits do not depend on how the
+    rows are batched into rounds.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != (batch.num_segments, table.dim):
@@ -198,13 +231,35 @@ def lookup_backward(table: EmbeddingTable, batch: SparseBatch,
     if nnz == 0:
         return SparseRowGrad(np.empty(0, dtype=np.int64),
                              np.empty((0, table.dim)))
-    seg_of = np.repeat(np.arange(batch.num_segments), batch.lengths())
-    contrib = grad_out[seg_of]
-    if batch.weights is not None:
-        contrib = contrib * batch.weights[:, None]
-    # unbuffered scatter-add visits flat positions in ascending order, so
-    # each row accumulates its contributions as a strict ascending fold
-    uniq, inverse = np.unique(batch.indices, return_inverse=True)
-    values = np.zeros((uniq.shape[0], table.dim))
-    np.add.at(values, inverse, contrib)
-    return SparseRowGrad(uniq, values)
+    order = np.argsort(batch.indices, kind="stable")
+    sorted_rows = batch.indices[order]
+    seg = np.repeat(np.arange(batch.num_segments), batch.lengths())[order]
+    weights = None if batch.weights is None else batch.weights[order]
+
+    def contrib(pos):
+        c = grad_out[seg[pos]]
+        if weights is not None:
+            c *= weights[pos, None]
+        return c
+
+    is_start = np.empty(nnz, dtype=bool)
+    is_start[0] = True
+    np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=is_start[1:])
+    starts = np.flatnonzero(is_start)
+    counts = np.diff(starts, append=nnz)
+    values = contrib(starts)
+    values += 0.0           # 0.0 + (-0.0) is +0.0
+    active = np.arange(starts.shape[0])
+    r = 1
+    while True:
+        active = active[counts[active] > r]
+        if active.shape[0] < _TAIL_ROWS:
+            break
+        values[active] += contrib(starts[active] + r)
+        r += 1
+    if active.shape[0]:
+        tail = np.concatenate([np.arange(s + r, s + c) for s, c
+                               in zip(starts[active], counts[active])])
+        np.add.at(values, np.repeat(active, counts[active] - r),
+                  contrib(tail))
+    return SparseRowGrad(sorted_rows[starts], values)

@@ -35,14 +35,20 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, lr: float) -> None:
     param -= lr * grad
 
 
+def _check_row_grad(weights: np.ndarray, grad: SparseRowGrad) -> None:
+    """A sparse gradient must hold one table-width row per row id."""
+    want = (grad.rows.shape[0], weights.shape[1])
+    if grad.values.shape != want:
+        raise ValueError(
+            f"sparse grad values shape {grad.values.shape} does not match "
+            f"(len(rows), table dim) = {want}"
+        )
+
+
 def sgd_step_rows(weights: np.ndarray, grad: SparseRowGrad, lr: float) -> None:
+    _check_row_grad(weights, grad)
     if grad.rows.size == 0:
         return
-    if grad.values.shape[1] != weights.shape[1]:
-        raise ValueError(
-            f"sparse grad dim {grad.values.shape[1]} vs table dim "
-            f"{weights.shape[1]}"
-        )
     weights[grad.rows] -= lr * grad.values
 
 
@@ -64,6 +70,7 @@ def adagrad_step_rows(weights: np.ndarray, grad: SparseRowGrad,
                       accum: np.ndarray, lr: float, eps: float) -> None:
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    _check_row_grad(weights, grad)
     if grad.rows.size == 0:
         return
     rows = grad.rows

@@ -110,6 +110,26 @@ def multihot_matrix(batch, num_rows):
     return a
 
 
+def lookup_backward_ref(table, batch, grad_out):
+    """Sparse lookup gradient by ``np.unique`` and an unbuffered
+    ``np.add.at``, which visits flat positions in ascending order, so each
+    row is a strict ascending fold from a zero row."""
+    from dlrmkit.embedding import SparseRowGrad
+
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    if batch.indices.shape[0] == 0:
+        return SparseRowGrad(np.empty(0, dtype=np.int64),
+                             np.empty((0, table.dim)))
+    seg_of = np.repeat(np.arange(batch.num_segments), batch.lengths())
+    contrib = grad_out[seg_of]
+    if batch.weights is not None:
+        contrib = contrib * batch.weights[:, None]
+    uniq, inverse = np.unique(batch.indices, return_inverse=True)
+    values = np.zeros((uniq.shape[0], table.dim))
+    np.add.at(values, inverse, contrib)
+    return SparseRowGrad(uniq, values)
+
+
 def profile_trace_ref(tr):
     """O(n*U) LRU-stack profile: (uniques, {distance: mass}).
 

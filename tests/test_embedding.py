@@ -8,13 +8,19 @@ from dlrmkit.embedding import (
     EmbeddingTable,
     LookupIndexError,
     SparseBatch,
+    _TAIL_ROWS,
     lengths_from_offsets,
     lookup_backward,
     lookup_batch,
     offsets_from_lengths,
 )
 
-from oracles import grad_rel_err, matmul_ref, multihot_matrix
+from oracles import (
+    grad_rel_err,
+    lookup_backward_ref,
+    matmul_ref,
+    multihot_matrix,
+)
 
 
 class TestOffsets:
@@ -53,6 +59,27 @@ class TestSparseBatchInvariants:
     def test_rejects_terminal_mismatch(self):
         with pytest.raises(ValueError):
             SparseBatch(np.array([0, 1]), np.array([0, 0]))
+
+    def test_rejects_2d_indices(self):
+        with pytest.raises(ValueError, match=r"1-D, got shape \(2, 2\)"):
+            SparseBatch(np.array([0, 2]), [[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("indices, bad", [
+        ([1.7], "1.7 at flat position 0"),
+        ([0.0, 2.5, 1.0], "2.5 at flat position 1"),
+        ([1.0, np.nan], "nan at flat position 1"),
+        ([np.inf], "inf at flat position 0"),
+    ])
+    def test_rejects_non_integral_indices(self, indices, bad):
+        with pytest.raises(ValueError, match=f"integers, got {bad}"):
+            SparseBatch(np.array([0, len(indices)]), indices)
+
+    def test_accepts_integral_values_of_any_dtype(self):
+        for indices in ([2.0, 0.0], np.array([2, 0], np.int32),
+                        np.array([2, 0], np.uint8), []):
+            b = SparseBatch(np.array([0, len(indices)]), indices)
+            assert b.indices.dtype == np.int64
+            assert b.indices.tolist() == list(map(int, indices))
 
     def test_rejects_misaligned_weights(self):
         with pytest.raises(ValueError):
@@ -250,6 +277,88 @@ class TestLookupBackward:
         batch = SparseBatch(np.array([0, 0]), np.empty(0, np.int64))
         out = lookup_backward(table, batch, np.zeros((1, 2)))
         assert out.rows.size == 0 and out.values.shape == (0, 2)
+
+
+def _zipf_batch():
+    """4000 Zipf lookups into 300 rows, 80 segments of 50."""
+    idx = np.minimum(np.random.default_rng(92).zipf(1.3, 4000) - 1, 299)
+    return SparseBatch(offsets_from_lengths([50] * 80), idx)
+
+
+def _byte_cases():
+    """(table rows, dim, batch, grad_out) cases for the byte-identity test."""
+    rng = np.random.default_rng(90)
+
+    def random_batch(m, lengths, weighted=False):
+        nnz = int(lengths.sum())
+        return SparseBatch(offsets_from_lengths(lengths),
+                           rng.integers(0, m, nnz),
+                           rng.standard_normal(nnz) if weighted else None)
+
+    zipf = _zipf_batch()
+    # segment 0 is all -0.0 and alone holds row 7; rows 2 and 3 mix +0.0
+    # and -0.0 contributions
+    signed = np.array([[-0.0, -0.0, -0.0],
+                       [-0.0, 0.0, 1.5],
+                       [0.0, -0.0, -0.0],
+                       [-2.0, -0.0, 0.0]])
+    signed_offsets = offsets_from_lengths([2, 3, 2, 1])
+    signed_indices = np.array([7, 7, 2, 3, 2, 3, 2, 9])
+    return [
+        pytest.param(500, 8, random_batch(500, rng.integers(1, 40, 64)),
+                     rng.standard_normal((64, 8)), id="uniform"),
+        pytest.param(300, 8, zipf, rng.standard_normal((80, 8)), id="zipf"),
+        pytest.param(300, 8,
+                     SparseBatch(zipf.offsets, zipf.indices,
+                                 rng.standard_normal(zipf.indices.size)),
+                     rng.standard_normal((80, 8)), id="zipf-weighted"),
+        pytest.param(50, 5, random_batch(50, rng.integers(0, 6, 40), True),
+                     rng.standard_normal((40, 5)), id="weighted"),
+        pytest.param(10, 3, SparseBatch(signed_offsets, signed_indices),
+                     signed, id="signed-zeros"),
+        pytest.param(10, 3,
+                     SparseBatch(signed_offsets, signed_indices,
+                                 np.array([1.0, 0.0, -1.0, 2.0, -0.0, 1.0,
+                                           3.0, -1.0])),
+                     signed, id="signed-zeros-weighted"),
+        pytest.param(40, 1, random_batch(40, rng.integers(1, 30, 50)),
+                     rng.standard_normal((50, 1)), id="dim-1"),
+        pytest.param(6, 4, random_batch(6, np.array([0, 3, 0, 0, 4, 0])),
+                     rng.standard_normal((6, 4)), id="empty-segments"),
+        pytest.param(6, 4, SparseBatch(np.array([0, 1]), np.array([5])),
+                     rng.standard_normal((1, 4)), id="single-index"),
+        pytest.param(6, 4,
+                     SparseBatch(np.array([0, 0, 0]), np.empty(0, np.int64)),
+                     rng.standard_normal((2, 4)), id="nnz-0"),
+    ]
+
+
+class TestLookupBackwardBytes:
+    """The round-folding backward equals np.unique + np.add.at bit for bit."""
+
+    @pytest.mark.parametrize("m, d, batch, grad_out", _byte_cases())
+    def test_same_bytes_as_add_at(self, m, d, batch, grad_out):
+        table = EmbeddingTable(np.zeros((m, d)))
+        out = lookup_backward(table, batch, grad_out)
+        ref = lookup_backward_ref(table, batch, grad_out)
+        assert out.rows.dtype == ref.rows.dtype
+        assert out.rows.tobytes() == ref.rows.tobytes()
+        assert out.values.shape == ref.values.shape
+        assert out.values.tobytes() == ref.values.tobytes()
+
+    def test_signed_zero_row_is_positive_zero(self):
+        table = EmbeddingTable(np.zeros((10, 3)))
+        batch = SparseBatch(np.array([0, 2]), np.array([7, 7]))
+        out = lookup_backward(table, batch, np.full((1, 3), -0.0))
+        assert not np.signbit(out.values).any()
+
+    def test_zipf_case_reaches_rounds_and_tail(self):
+        batch = _zipf_batch()
+        counts = np.sort(np.bincount(batch.indices))[::-1]
+        # rounds run for at least one row past its first hit, and rows are
+        # still unfinished once fewer than _TAIL_ROWS remain
+        assert counts[_TAIL_ROWS] >= 2
+        assert counts[0] > counts[_TAIL_ROWS - 1] + 1
 
 
 class TestInitialize:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,42 @@ class TestAdagrad:
         untouched = [0, 1, 3, 4, 5, 6]
         assert np.array_equal(w[untouched], wb[untouched])
         assert np.array_equal(acc[untouched], ab[untouched])
+
+
+class TestSparseShapeChecks:
+    """Both sparse steps require values of shape (len(rows), table dim)."""
+
+    STEPS = {
+        "sgd": lambda w, g: sgd_step_rows(w, g, 0.1),
+        "adagrad": lambda w, g: adagrad_step_rows(w, g, np.zeros_like(w),
+                                                  0.1, 1e-10),
+    }
+
+    @pytest.mark.parametrize("opt", ["sgd", "adagrad"])
+    @pytest.mark.parametrize("rows, values_shape", [
+        ([1, 3], (2, 1)),       # narrow column would broadcast
+        ([1, 3], (3, 4)),       # more values than rows
+        ([1, 3, 5], (2, 4)),    # fewer values than rows
+        ([], (0, 3)),           # empty, but the wrong width
+        ([1], (4,)),            # 1-D values
+    ])
+    def test_mismatch_names_both_shapes(self, opt, rows, values_shape):
+        w = np.ones((6, 4))
+        grad = SparseRowGrad(np.array(rows, dtype=np.int64),
+                             np.ones(values_shape))
+        want = f"{(len(rows), 4)}"
+        with pytest.raises(ValueError, match=re.escape(want)) as err:
+            self.STEPS[opt](w, grad)
+        assert str(values_shape) in str(err.value)
+        assert np.array_equal(w, np.ones((6, 4)))
+
+    @pytest.mark.parametrize("opt", ["sgd", "adagrad"])
+    def test_matching_shapes_accepted(self, opt):
+        w = np.ones((6, 4))
+        self.STEPS[opt](w, SparseRowGrad(np.array([2]), np.ones((1, 4))))
+        self.STEPS[opt](w, SparseRowGrad(np.empty(0, np.int64),
+                                         np.empty((0, 4))))
+        assert not np.array_equal(w[2], np.ones(4))
 
 
 class TestDeterminism:
