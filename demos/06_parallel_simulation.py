@@ -59,13 +59,11 @@ print(f"serial final loss: {serial_losses[-1]:.12f}")
 
 for ndev in (2, 3, 4):
     trainer = ParallelTrainer(init_model(cfg), make_plan(cfg, 9, ndev),
-                              "adagrad", 0.1, concurrent=(ndev == 4))
+                              "adagrad", 0.1)
     losses = [trainer.step(*b).loss for b in gen(77, 30, 9)]
-    tag = " (threaded scheduler)" if ndev == 4 else ""
-    print(f"{ndev} devices{tag}: losses bit-identical to serial -> "
+    print(f"{ndev} devices: losses bit-identical to serial -> "
           f"{losses == serial_losses}, replica divergence "
           f"{trainer.max_replica_divergence()}")
-    trainer.close()
 
 print("\n== per-step communication volume (2 devices, 2 steps) ==")
 trainer = ParallelTrainer(init_model(cfg), make_plan(cfg, 8, 2),
@@ -74,4 +72,3 @@ feed = gen(78, 2, 8)
 for b in feed:
     trainer.step(*b)
 print(format_comm_report(trainer.comm), end="")
-trainer.close()

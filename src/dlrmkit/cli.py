@@ -29,6 +29,7 @@ from .datagen import (
     RandomDataSpec,
     TraceGenerator,
     adjust_distribution,
+    default_first_touch_floor,
     gen_dense_batch,
     gen_sparse_batch,
     load_profile,
@@ -325,9 +326,8 @@ class _SyntheticSource(_RandomSource):
                 boot_len = min(max(planned, 4 * m, 64), 100000)
                 boot = self.stream.integers(0, m, size=boot_len)
                 profile = profile_trace(boot.tolist())
-            floor = min(0.5, options.first_touch_boost
-                        * len(profile.uniques) / max(planned, 1))
-            adjusted = adjust_distribution(profile, floor)
+            adjusted = adjust_distribution(profile, default_first_touch_floor(
+                profile, planned, options.first_touch_boost))
             self.generators.append(TraceGenerator(adjusted, self.stream))
 
     def _sparse(self, t: int) -> SparseBatch:
@@ -616,7 +616,6 @@ def _run(config: DlrmConfig, options: RunOptions,
         report.operator_seconds = dict(timer.seconds)
     if trainer is not None:
         report.comm_report = format_comm_report(trainer.comm)
-        trainer.close()
     if options.save_checkpoint:
         save_checkpoint(options.save_checkpoint, model)
     return report, metric_lines

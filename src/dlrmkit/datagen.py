@@ -248,17 +248,19 @@ def adjust_distribution(profile: TraceProfile,
     return TraceProfile(list(profile.uniques), out)
 
 
-def default_first_touch_floor(profile: TraceProfile, length: int) -> float:
-    """Floor that consumes the uniques within roughly the first tenth of the
-    generated trace; len(u)/length alone leaves the support restricted for
-    nearly the whole run and visibly skews the synthetic distribution.
+def default_first_touch_floor(profile: TraceProfile, length: int,
+                              boost: float = 10.0) -> float:
+    """Floor ``boost * len(u) / length``: the default boost of 10 consumes
+    the uniques within roughly the first tenth of the generated trace;
+    len(u)/length alone leaves the support restricted for nearly the whole
+    run and visibly skews the synthetic distribution.
 
     Capped at 0.5 so repeat distances always keep sampling mass (a floor of
     1 would starve generation once every unique has been seen).
     """
     if length <= 0:
         return 0.0
-    return min(0.5, 10.0 * len(profile.uniques) / length)
+    return min(0.5, boost * len(profile.uniques) / length)
 
 
 # ---------------------------------------------------------------------------

@@ -71,17 +71,17 @@ class EmbeddingTable:
         return cls(w, table_id)
 
 
-def _integral_indices(indices) -> np.ndarray:
-    """``indices`` as int64; a non-integral or non-finite value raises
-    instead of being truncated."""
-    raw = np.asarray(indices)
+def _integral(values, name: str) -> np.ndarray:
+    """``values`` as int64; a non-integral or non-finite value raises a
+    ``ValueError`` naming ``name`` instead of being truncated."""
+    raw = np.asarray(values)
     if raw.dtype.kind not in "iu":
         as_float = raw.astype(np.float64)
         bad = np.flatnonzero(~np.isfinite(as_float)
                              | (as_float != np.floor(as_float)))
         if bad.size:
             k = int(bad[0])
-            raise ValueError(f"indices must be integers, got "
+            raise ValueError(f"{name} must be integers, got "
                              f"{raw.flat[k]} at flat position {k}")
     return raw.astype(np.int64, copy=False)
 
@@ -95,8 +95,8 @@ class SparseBatch:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        self.offsets = np.asarray(self.offsets, dtype=np.int64)
-        self.indices = _integral_indices(self.indices)
+        self.offsets = _integral(self.offsets, "offsets")
+        self.indices = _integral(self.indices, "indices")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=np.float64)
         self.validate()
@@ -157,7 +157,7 @@ class SparseRowGrad:
 
 def offsets_from_lengths(lengths) -> np.ndarray:
     """Prefix sums with the leading 0 and the terminal total (CSR style)."""
-    lengths = np.asarray(lengths, dtype=np.int64)
+    lengths = _integral(lengths, "lengths")
     if np.any(lengths < 0):
         raise ValueError("lengths must be nonnegative")
     out = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
@@ -166,8 +166,7 @@ def offsets_from_lengths(lengths) -> np.ndarray:
 
 
 def lengths_from_offsets(offsets) -> np.ndarray:
-    offsets = np.asarray(offsets, dtype=np.int64)
-    return np.diff(offsets)
+    return np.diff(_integral(offsets, "offsets"))
 
 
 def lookup_batch(table: EmbeddingTable, batch: SparseBatch) -> Matrix:

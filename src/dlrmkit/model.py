@@ -40,6 +40,7 @@ __all__ = [
     "interaction_width",
     "init_model",
     "forward_logits",
+    "check_sparse_batches",
     "dlrm_forward",
     "bce_from_logits",
     "fm_predict",
@@ -363,6 +364,22 @@ def forward_logits(bottom: MlpParams, top: MlpParams, dense_x: Matrix,
     return logits[:, 0], bottom_cache, top_cache
 
 
+def check_sparse_batches(batches: list[SparseBatch], num_tables: int,
+                         batch_size: int) -> None:
+    """Exactly one sparse batch per table, each with ``batch_size``
+    segments; otherwise a ``ValueError`` names the count or the table."""
+    if len(batches) != num_tables:
+        raise ValueError(
+            f"got {len(batches)} sparse batches for {num_tables} tables"
+        )
+    for t, sb in enumerate(batches):
+        if sb.num_segments != batch_size:
+            raise ValueError(
+                f"sparse batch {t} has {sb.num_segments} segments, "
+                f"batch is {batch_size}"
+            )
+
+
 def dlrm_forward(model: DlrmModel, dense_x: Matrix,
                  batches: list[SparseBatch]) -> tuple[np.ndarray, np.ndarray]:
     """prob = sigmoid(top_mlp(interact(bottom_mlp(x), lookups))).
@@ -371,18 +388,8 @@ def dlrm_forward(model: DlrmModel, dense_x: Matrix,
     probabilities and the logits, one per sample. Evaluation uses it, and
     it is the public way to score a batch.
     """
-    cfg = model.config
-    if len(batches) != cfg.num_tables:
-        raise ValueError(
-            f"got {len(batches)} sparse batches for {cfg.num_tables} tables"
-        )
     dense_x = np.asarray(dense_x, dtype=np.float64)
-    b = dense_x.shape[0]
-    for t, sb in enumerate(batches):
-        if sb.num_segments != b:
-            raise ValueError(
-                f"sparse batch {t} has {sb.num_segments} segments, batch is {b}"
-            )
+    check_sparse_batches(batches, model.config.num_tables, dense_x.shape[0])
     emb_outputs = [lookup_batch(tb, sb)
                    for tb, sb in zip(model.tables, batches)]
     logits, _, _ = forward_logits(model.bottom, model.top, dense_x,

@@ -3,19 +3,23 @@ tables model-parallel across virtual devices, MLPs data-parallel with
 replicated parameters, a butterfly-shuffle personalized all-to-all, and
 synchronous allreduce.
 
-The simulator is provably bit-equivalent to serial execution for any device
-count: per-sample computation never mixes rows, cross-sample gradient
-reductions use the exact grid components from :mod:`dlrmkit.dense` (invariant
-to contiguous partitioning), and every collective reduces in ascending
-replica order at fixed barriers, so results are also independent of the
-scheduler (single-threaded or thread pool). The MLP gradient allreduce is
-streamed: devices add their components, in ascending device order, into one
-running sum per layer, so only one device's contribution is in flight.
+There is one step body, ``_step``. ``ParallelTrainer.step`` runs it on a
+P-device plan and the serial ``train_step`` on the one-device plan, whose
+shuffles move 0 bytes and whose reductions have a single replica. Devices
+run one at a time in ascending order, and a failure in a device's work is
+raised as ``device d: ...``.
+
+The simulator is bit-equivalent to serial execution for any device count:
+per-sample computation never mixes rows, cross-sample gradient reductions
+use the exact grid components from :mod:`dlrmkit.dense` (invariant to
+contiguous partitioning), and every collective reduces in ascending replica
+order. The MLP gradient allreduce is streamed: devices add their
+components, in ascending device order, into one running sum per layer, so
+only one device's contribution is in flight.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +34,7 @@ from .model import (
     MlpParams,
     activation,
     bce_from_logits,
+    check_sparse_batches,
     forward_logits,
     interact_backward,
     layer_grad_components,
@@ -296,8 +301,17 @@ def _combine(collective, per_replica: list):
     return per_replica[0] if len(per_replica) == 1 else collective(per_replica)
 
 
-def _reduce_mlp_grads(traces_per_dev: list[list[tuple]], n_total: int,
-                      guard, timer) -> tuple[MlpGrads, int, int]:
+def _guard(fn, device: int):
+    """Run device ``device``'s work ``fn(device)``; a failure in it is
+    re-raised as ``device d: ...``, serial steps included (device 0)."""
+    try:
+        return fn(device)
+    except Exception as e:
+        raise RuntimeError(f"device {device}: {e}") from e
+
+
+def _reduce_mlp_grads(traces_per_dev: list[list[tuple]],
+                      n_total: int) -> tuple[MlpGrads, int, int]:
     """Exact full-batch gradients of one MLP from every device's per-layer
     ``mlp_backward_trace`` entries, plus the per-replica payload bytes of
     the stat and component allreduces.
@@ -310,25 +324,22 @@ def _reduce_mlp_grads(traces_per_dev: list[list[tuple]], n_total: int,
     ``sum_components``. The adds are those of ``allreduce`` over the
     per-device lists, so the bits are too, but only the running sum and one
     product buffer are held instead of every device's components. A layer's
-    sum is freed before the next layer's is built. ``guard(fn, d)`` runs
-    device d's contribution ``fn(d)`` on the calling thread.
+    sum is freed before the next layer's is built. Each device's
+    contribution runs under ``_guard``.
     """
     grads = MlpGrads([], [])
     stat_payload = grad_payload = 0
     for l in range(len(traces_per_dev[0])):
-        with timer.section("allreduce"):
-            x_max = _combine(allreduce_max, [t[l][2] for t in traces_per_dev])
-            g_max = _combine(allreduce_max, [t[l][3] for t in traces_per_dev])
+        x_max = _combine(allreduce_max, [t[l][2] for t in traces_per_dev])
+        g_max = _combine(allreduce_max, [t[l][3] for t in traces_per_dev])
         sums = None
-        with timer.section("device_compute"):
-            for d in range(len(traces_per_dev)):
-                sums = guard(lambda d: layer_grad_components(
-                    *traces_per_dev[d][l][:2], x_max, g_max, n_total,
-                    out=sums), d)
+        for d in range(len(traces_per_dev)):
+            sums = _guard(lambda d: layer_grad_components(
+                *traces_per_dev[d][l][:2], x_max, g_max, n_total,
+                out=sums), d)
         w_comps, b_comps = sums
-        with timer.section("allreduce"):
-            grads.weights.append(dense.sum_components(w_comps))
-            grads.biases.append(dense.sum_components(b_comps))
+        grads.weights.append(dense.sum_components(w_comps))
+        grads.biases.append(dense.sum_components(b_comps))
         stat_payload += x_max.nbytes + g_max.nbytes
         grad_payload += sum(c.nbytes for c in w_comps + b_comps)
         del sums, w_comps, b_comps
@@ -343,34 +354,104 @@ def _update(optimizer, bottom: MlpParams, top: MlpParams, grads: dict,
         optimizer.apply_table(table, g)
 
 
+def _step(tables: list, replicas: list[tuple[MlpParams, MlpParams]],
+          optimizers: list, plan: DevicePlan, comm: CommLog, step_idx: int,
+          dense_x: Matrix, batches: list[SparseBatch], labels: np.ndarray,
+          timer) -> StepResult:
+    """One hybrid-parallel training step over ``plan``, serial or not.
+
+    Owners look up their tables over the full mini-batch, the butterfly
+    shuffle hands every device its shard of each table, each device runs
+    ``_forward_backward`` on its shard, the per-sample losses are gathered,
+    each MLP's gradients are reduced exactly, the embedding gradients return
+    to their owners, and every device applies its update. Devices run one at
+    a time in ascending order, each one's work under ``_guard``. Timed under
+    ``embedding_lookup``, ``shuffle``, ``bottom_mlp``, ``interaction``,
+    ``top_mlp`` (each MLP's reduction under its own section), ``loss`` and
+    ``optimizer`` for every device count.
+    """
+    n_total = dense_x.shape[0]
+    if np.shape(labels) != (n_total,):
+        raise ValueError(f"labels have shape {np.shape(labels)}, "
+                         f"expected ({n_total},)")
+    check_sparse_batches(batches, len(tables), n_total)
+    devices = range(plan.num_devices)
+
+    # phase 1: owners look up their tables over the full mini-batch
+    with timer.section("embedding_lookup"):
+        owned = [[t for t, dev in enumerate(plan.table_assignment) if dev == d]
+                 for d in devices]
+        per_table = {}
+        for d in devices:
+            per_table.update(_guard(lambda d: {
+                t: lookup_batch(tables[t], batches[t]) for t in owned[d]}, d))
+
+    # phase 2: personalized all-to-all
+    with timer.section("shuffle"):
+        shuffled = butterfly_shuffle(per_table, plan, comm, step_idx)
+
+    # phase 3: the shared forward/backward on each device's shard
+    def local(d):
+        lo, hi = plan.shard(d)
+        emb = [s.values for s in shuffled[d]]   # ascending table id
+        return _forward_backward(*replicas[d], dense_x[lo:hi], emb,
+                                 labels[lo:hi], n_total, timer)
+    shards = [_guard(local, d) for d in devices]
+
+    # phase 4a: loss/accuracy gather (per-sample values, ascending order)
+    with timer.section("loss"):
+        per_sample = np.concatenate([r.per_sample_loss for r in shards])
+        probs = np.concatenate([r.probs for r in shards])
+        loss = float(per_sample.mean())
+        acc = float(np.mean((probs > 0.5) == (labels > 0.5)))
+        comm.add(step_idx, "loss_gather",
+                 sum(r.per_sample_loss.nbytes + r.probs.nbytes
+                     for d, r in enumerate(shards) if d != 0),
+                 plan.num_devices)
+
+    # phase 4b: exact gradient allreduce, layer by layer, each device
+    # adding into one running sum in device order
+    grads = {}
+    for which in ("bottom", "top"):
+        with timer.section(f"{which}_mlp"):
+            grads[which], stat_payload, grad_payload = _reduce_mlp_grads(
+                [getattr(r, f"{which}_traces") for r in shards], n_total)
+            for name, payload in (("stat_allreduce", stat_payload),
+                                  ("grad_allreduce", grad_payload)):
+                comm.add(step_idx, name,
+                         _allreduce_bytes(payload, plan.num_devices),
+                         plan.num_devices)
+
+    # phase 5: embedding gradients return to their owners
+    with timer.section("shuffle"):
+        full_emb_grads = inverse_shuffle(
+            [dict(enumerate(r.emb_grads)) for r in shards], plan, comm,
+            step_idx)
+    with timer.section("embedding_lookup"):
+        table_grads = [_guard(lambda d: [
+            (tables[t], lookup_backward(tables[t], batches[t],
+                                        full_emb_grads[t]))
+            for t in owned[d]], d) for d in devices]
+
+    # phase 6: synchronous update (replicas get identical dense grads)
+    with timer.section("optimizer"):
+        for d in devices:
+            _guard(lambda d: _update(optimizers[d], *replicas[d], grads,
+                                     table_grads[d]), d)
+    return StepResult(loss, acc, probs)
+
+
 def train_step(model: DlrmModel, dense_x: Matrix,
                batches: list[SparseBatch], labels: np.ndarray,
                optimizer, timer=None) -> StepResult:
     """One serial forward/backward/update pass over a mini-batch: the
-    one-device case of the hybrid-parallel step, which has no shuffle and
-    no allreduce. Each MLP's gradient reduction is timed under its section.
+    hybrid step on a one-device plan, whose shuffles move 0 bytes and whose
+    reductions have one replica.
     """
-    timer = timer or NullTimer()
-    n_total = dense_x.shape[0]
-    with timer.section("embedding_lookup"):
-        emb_out = [lookup_batch(tb, sb)
-                   for tb, sb in zip(model.tables, batches)]
-    shard = _forward_backward(model.bottom, model.top, dense_x, emb_out,
-                              labels, n_total, timer)
-    grads = {}
-    for which, traces in (("bottom", shard.bottom_traces),
-                          ("top", shard.top_traces)):
-        with timer.section(f"{which}_mlp"):
-            grads[which] = _reduce_mlp_grads(
-                [traces], n_total, lambda fn, d: fn(d), NullTimer())[0]
-    with timer.section("embedding_lookup"):
-        table_grads = [lookup_backward(tb, sb, g) for tb, sb, g
-                       in zip(model.tables, batches, shard.emb_grads)]
-    with timer.section("optimizer"):
-        _update(optimizer, model.bottom, model.top, grads,
-                zip(model.tables, table_grads))
-    acc = float(np.mean((shard.probs > 0.5) == (labels > 0.5)))
-    return StepResult(float(shard.per_sample_loss.mean()), acc, shard.probs)
+    plan = DevicePlan(1, [0] * len(model.tables), [0, dense_x.shape[0]])
+    return _step(model.tables, [(model.bottom, model.top)], [optimizer],
+                 plan, CommLog(), 0, dense_x, batches, labels,
+                 timer or NullTimer())
 
 
 # ---------------------------------------------------------------------------
@@ -381,18 +462,13 @@ class ParallelTrainer:
 
     It trains the model it is given in place: the tables are the model's
     own (each table lives once, on its owner device), replica 0 is the
-    model's bottom and top MLP, and only replicas 1..P-1 are copies.
-
-    ``concurrent=True`` runs per-device work on a thread pool; all
-    cross-device reductions happen at barriers in ascending replica order, so
-    both scheduler modes produce identical bits (asserted by the test suite).
-    The devices' contributions to the gradient allreduce run one at a time
-    on the calling thread, in device order, under either scheduler.
+    model's bottom and top MLP, and only replicas 1..P-1 are copies. Its
+    step is the same step body as ``train_step``, on a P-device plan.
     """
 
     def __init__(self, model: DlrmModel, plan: DevicePlan,
                  optimizer_name: str = "sgd", lr: float = 0.1,
-                 eps: float = 1e-10, concurrent: bool = False):
+                 eps: float = 1e-10):
         plan.validate()
         if len(plan.table_assignment) != model.config.num_tables:
             raise ValueError("plan does not cover the model's tables")
@@ -406,115 +482,22 @@ class ParallelTrainer:
                            for _ in range(plan.num_devices)]
         self.comm = CommLog()
         self.step_count = 0
-        self._pool = (ThreadPoolExecutor(max_workers=plan.num_devices)
-                      if concurrent and plan.num_devices > 1 else None)
-
-    # -- scheduling ---------------------------------------------------------
-
-    def _run_per_device(self, fn):
-        """Run fn(device) for every device; returns results in device order."""
-        devices = range(self.plan.num_devices)
-        if self._pool is None:
-            return [self._guard(fn, d) for d in devices]
-        futures = [self._pool.submit(self._guard, fn, d) for d in devices]
-        return [f.result() for f in futures]
-
-    @staticmethod
-    def _guard(fn, device: int):
-        try:
-            return fn(device)
-        except Exception as e:
-            raise RuntimeError(f"device {device}: {e}") from e
 
     def close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
-
-    # -- one training step ---------------------------------------------------
+        """Nothing to release; kept so callers may close every trainer."""
 
     def step(self, dense_x: Matrix, batches: list[SparseBatch],
              labels: np.ndarray, timer=None) -> StepResult:
-        timer = timer or NullTimer()
-        plan = self.plan
-        n_total = dense_x.shape[0]
-        if n_total != plan.batch_size:
+        if dense_x.shape[0] != self.plan.batch_size:
             raise ValueError(
-                f"batch size {n_total} does not match plan "
-                f"({plan.batch_size})"
+                f"batch size {dense_x.shape[0]} does not match plan "
+                f"({self.plan.batch_size})"
             )
-        step_idx = self.step_count
-
-        # phase 1: owners look up their tables over the full mini-batch
-        owned = [[t for t, dev in enumerate(plan.table_assignment) if dev == d]
-                 for d in range(plan.num_devices)]
-
-        with timer.section("embedding_lookup"):
-            def do_lookups(device):
-                return {t: lookup_batch(self.tables[t], batches[t])
-                        for t in owned[device]}
-            per_dev_lookups = self._run_per_device(do_lookups)
-        per_table = {t: m for dev_out in per_dev_lookups
-                     for t, m in dev_out.items()}
-
-        # phase 2: personalized all-to-all
-        with timer.section("shuffle"):
-            shuffled = butterfly_shuffle(per_table, plan, self.comm, step_idx)
-
-        # phase 3: the shared forward/backward on each device's shard
-        with timer.section("device_compute"):
-            def local(device):
-                lo, hi = plan.shard(device)
-                bottom, top = self.replicas[device]
-                emb = [s.values for s in shuffled[device]]  # ascending table id
-                return _forward_backward(bottom, top, dense_x[lo:hi], emb,
-                                         labels[lo:hi], n_total, NullTimer())
-            shards = self._run_per_device(local)
-
-        # phase 4a: loss/accuracy gather (per-sample values, ascending order)
-        with timer.section("loss"):
-            per_sample = np.concatenate([r.per_sample_loss for r in shards])
-            probs = np.concatenate([r.probs for r in shards])
-            loss = float(per_sample.mean())
-            acc = float(np.mean((probs > 0.5) == (labels > 0.5)))
-            self.comm.add(step_idx, "loss_gather",
-                          sum(r.per_sample_loss.nbytes + r.probs.nbytes
-                              for d, r in enumerate(shards) if d != 0),
-                          plan.num_devices)
-
-        # phase 4b: exact gradient allreduce, layer by layer, each device
-        # adding into one running sum in device order under both schedulers
-        grads = {}
-        for which in ("bottom", "top"):
-            grads[which], stat_payload, grad_payload = _reduce_mlp_grads(
-                [getattr(r, f"{which}_traces") for r in shards], n_total,
-                self._guard, timer)
-            for name, payload in (("stat_allreduce", stat_payload),
-                                  ("grad_allreduce", grad_payload)):
-                self.comm.add(step_idx, name,
-                              _allreduce_bytes(payload, plan.num_devices),
-                              plan.num_devices)
-
-        # phase 5: embedding gradients return to their owners
-        with timer.section("shuffle"):
-            full_emb_grads = inverse_shuffle(
-                [dict(enumerate(r.emb_grads)) for r in shards], plan,
-                self.comm, step_idx)
-
-        with timer.section("embedding_lookup"):
-            def table_grads(device):
-                return {t: lookup_backward(self.tables[t], batches[t],
-                                           full_emb_grads[t])
-                        for t in owned[device]}
-            sparse_per_dev = self._run_per_device(table_grads)
-
-        # phase 6: synchronous update (replicas get identical dense grads)
-        with timer.section("optimizer"):
-            self._run_per_device(lambda d: _update(
-                self.optimizers[d], *self.replicas[d], grads,
-                ((self.tables[t], g) for t, g in sparse_per_dev[d].items())))
-
+        result = _step(self.tables, self.replicas, self.optimizers,
+                       self.plan, self.comm, self.step_count, dense_x,
+                       batches, labels, timer or NullTimer())
         self.step_count += 1
-        return StepResult(loss, acc, probs)
+        return result
 
     # -- inspection ----------------------------------------------------------
 

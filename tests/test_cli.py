@@ -5,17 +5,19 @@ import os
 import numpy as np
 import pytest
 
+from dlrmkit import cli
 from dlrmkit.cli import (
     CliError,
     config_to_args,
     load_checkpoint,
     main,
+    make_source,
     parse_args,
     run_benchmark,
     run_training,
     save_checkpoint,
 )
-from dlrmkit.datagen import profile_trace, save_profile
+from dlrmkit.datagen import adjust_distribution, profile_trace, save_profile
 from dlrmkit.dense import matmul_tile_rows
 from dlrmkit.model import DlrmConfig, init_model
 
@@ -233,21 +235,23 @@ class TestRunBenchmark:
         assert [r["loss"] for r in r1.records] == \
             [r["loss"] for r in r2.records]
 
-    @pytest.mark.parametrize("devices, categories", [
-        (1, {"embedding_lookup", "bottom_mlp", "interaction", "top_mlp",
-             "loss", "optimizer"}),
-        (2, {"embedding_lookup", "shuffle", "device_compute", "loss",
-             "allreduce", "optimizer"}),
-    ])
-    def test_profiling_categories_and_attribution(self, devices, categories):
+    @pytest.mark.parametrize("devices", [1, 2, 4])
+    def test_profiling_categories_and_attribution(self, devices):
         config, options = parse_args(
             tiny_args(["--mode=benchmark", "--enable-profiling",
                        "--num-batches=20", f"--num-devices={devices}"]))
         report, _ = run_benchmark(config, options)
+        categories = {"embedding_lookup", "shuffle", "bottom_mlp",
+                      "interaction", "top_mlp", "loss", "optimizer"}
         assert set(report.operator_seconds) == categories
         total = sum(report.operator_seconds.values())
         assert total <= report.wall_seconds * 1.0001
         assert report.attributed_fraction() >= 0.9
+        config, options = parse_args(
+            tiny_args(["--mode=train", "--enable-profiling",
+                       f"--num-devices={devices}"]))
+        report, _ = run_training(config, options)
+        assert set(report.operator_seconds) == categories | {"datagen"}
 
     @pytest.mark.parametrize("devices", [1, 2])
     def test_benchmark_mode_honours_run_flags(self, tmp_path, devices):
@@ -385,6 +389,33 @@ class TestSyntheticMode:
                        f"--synthetic-profiles={tmp_path}"]))
         with pytest.raises(CliError, match="outside"):
             run_training(config, options)
+
+
+    @pytest.mark.parametrize("boost", [10.0, 3.5])
+    def test_first_touch_floor_bits(self, monkeypatch, boost):
+        # each table's profile is adjusted with the floor
+        # min(0.5, boost * uniques / planned lookups), bit for bit
+        seen = []
+        real = cli.adjust_distribution
+
+        def recording(profile, floor):
+            seen.append((profile, real(profile, floor)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(cli, "adjust_distribution", recording)
+        config, options = parse_args(
+            tiny_args(["--data-generation=synthetic", "--num-batches=40",
+                       f"--first-touch-boost={boost}"]))
+        make_source(config, options)
+        planned = 40 * 8 * 2        # batches x samples x mean lookups (k=3)
+        assert len(seen) == config.num_tables
+        for profile, adjusted in seen:
+            floor = min(0.5, boost * len(profile.uniques) / planned)
+            assert 0.0 < floor < 0.5    # uncapped, so the formula counts
+            want = adjust_distribution(profile, floor)
+            assert adjusted.uniques == want.uniques
+            assert ({d: p.hex() for d, p in adjusted.probabilities.items()}
+                    == {d: p.hex() for d, p in want.probabilities.items()})
 
 
 class TestCriteoMode:

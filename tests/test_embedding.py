@@ -40,6 +40,24 @@ class TestOffsets:
         with pytest.raises(ValueError):
             offsets_from_lengths([1, -1])
 
+    @pytest.mark.parametrize("lengths, bad", [
+        ([1.5, 2.9], "1.5 at flat position 0"),
+        ([2.0, np.nan], "nan at flat position 1"),
+        ([np.inf], "inf at flat position 0"),
+    ])
+    def test_rejects_non_integral_lengths(self, lengths, bad):
+        with pytest.raises(ValueError,
+                           match=f"^lengths must be integers, got {bad}$"):
+            offsets_from_lengths(lengths)
+
+    def test_accepts_integral_float_lengths(self):
+        offs = offsets_from_lengths([2.0, 0.0, 3.0])
+        assert offs.dtype == np.int64
+        assert offs.tolist() == [0, 2, 2, 5]
+        assert lengths_from_offsets([0.0, 2.0, 5.0]).tolist() == [2, 3]
+        with pytest.raises(ValueError, match="^offsets must be integers"):
+            lengths_from_offsets([0, 1.5])
+
     @given(st.lists(st.integers(min_value=0, max_value=50), max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, lengths):
@@ -73,6 +91,21 @@ class TestSparseBatchInvariants:
     def test_rejects_non_integral_indices(self, indices, bad):
         with pytest.raises(ValueError, match=f"integers, got {bad}"):
             SparseBatch(np.array([0, len(indices)]), indices)
+
+    @pytest.mark.parametrize("offsets, bad", [
+        ([0, 1.7], "1.7 at flat position 1"),
+        ([0.5, 4], "0.5 at flat position 0"),
+        ([0, np.nan], "nan at flat position 1"),
+    ])
+    def test_rejects_non_integral_offsets(self, offsets, bad):
+        with pytest.raises(ValueError,
+                           match=f"^offsets must be integers, got {bad}$"):
+            SparseBatch(offsets, [4, 0, 1, 2])
+
+    def test_accepts_integral_float_offsets(self):
+        b = SparseBatch([0.0, 1.0, 3.0], [4, 0, 1])
+        assert b.offsets.dtype == np.int64
+        assert b.offsets.tolist() == [0, 1, 3]
 
     def test_accepts_integral_values_of_any_dtype(self):
         for indices in ([2.0, 0.0], np.array([2, 0], np.int32),

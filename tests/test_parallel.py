@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -204,40 +205,32 @@ class TestAllreduce:
         assert out.tolist() == [2.0, 5.0]
 
 
+def _equivalence_cases():
+    """SGD over every device count and batch, plus Adagrad on 2 and 4
+    devices; the ids are ``ndev-batch``, prefixed for Adagrad."""
+    sgd = [pytest.param(batch, ndev, "sgd", id=f"{ndev}-{batch}")
+           for ndev in (1, 2, 3, 4) for batch in (4, 8, 9)]
+    adagrad = [pytest.param(9, ndev, "adagrad", id=f"adagrad-{ndev}-9")
+               for ndev in (2, 4)]
+    return sgd + adagrad
+
+
 class TestSerialEquivalence:
-    @pytest.mark.parametrize("batch", [4, 8, 9])
-    @pytest.mark.parametrize("ndev", [1, 2, 3, 4])
-    def test_fifty_steps_bit_identical(self, batch, ndev):
+    @pytest.mark.parametrize("batch, ndev, optimizer", _equivalence_cases())
+    def test_fifty_steps_bit_identical(self, batch, ndev, optimizer):
         cfg = toy_config(seed=40 + batch)
         batches = gen_batches(cfg, batch, 50, seed=50 + batch)
         serial = init_model(cfg)
-        opt = make_optimizer("sgd", 0.1)
+        opt = make_optimizer(optimizer, 0.1)
         serial_losses = [train_step(serial, *b, opt).loss for b in batches]
 
         model = init_model(cfg)
         trainer = ParallelTrainer(model, make_plan(cfg, batch, ndev),
-                                  "sgd", 0.1)
+                                  optimizer, 0.1)
         losses = [trainer.step(*b).loss for b in batches]
         assert losses == serial_losses
         assert params_equal(serial, trainer)
         assert trainer.max_replica_divergence() == 0.0
-        trainer.close()
-
-    def test_concurrent_scheduler_identical(self):
-        cfg = toy_config(seed=44)
-        batches = gen_batches(cfg, 9, 50, seed=55)
-        serial = init_model(cfg)
-        opt = make_optimizer("adagrad", 0.1)
-        serial_losses = [train_step(serial, *b, opt).loss for b in batches]
-        for ndev in (2, 4):
-            model = init_model(cfg)
-            trainer = ParallelTrainer(model, make_plan(cfg, 9, ndev),
-                                      "adagrad", 0.1, concurrent=True)
-            losses = [trainer.step(*b).loss for b in batches]
-            assert losses == serial_losses
-            assert params_equal(serial, trainer)
-            assert trainer.max_replica_divergence() == 0.0
-            trainer.close()
 
     def test_accuracy_matches_too(self):
         cfg = toy_config(seed=46)
@@ -251,7 +244,6 @@ class TestSerialEquivalence:
             pr = trainer.step(*b)
             assert pr.accuracy == sr.accuracy
             assert np.array_equal(pr.probs, sr.probs)
-        trainer.close()
 
 
 def model_arrays(model):
@@ -274,7 +266,6 @@ class TestInPlace:
                                   "adagrad", 0.1)
         for b in batches:
             trainer.step(*b)
-        trainer.close()
         assert trainer.tables is model.tables
         bottom, top = trainer.replica_params(0)
         assert bottom is model.bottom and top is model.top
@@ -324,7 +315,6 @@ class TestCommReport:
             names.add(name)
         assert names == {"butterfly_shuffle", "loss_gather", "stat_allreduce",
                          "grad_allreduce", "grad_reverse_shuffle"}
-        trainer.close()
 
     def test_single_device_moves_no_shuffle_bytes(self):
         cfg = toy_config(seed=48)
@@ -336,11 +326,6 @@ class TestCommReport:
                    for _, name, nbytes, _ in trainer.comm.entries}
         assert by_name["butterfly_shuffle"] == 0
         assert by_name["grad_allreduce"] == 0
-        trainer.close()
-
-
-def _serial_guard(fn, device):
-    return fn(device)
 
 
 def _bits(arrays):
@@ -371,8 +356,7 @@ class TestStreamedReduction:
             traces = [getattr(r, f"{which}_traces") for r in shards]
             want_w, want_b, want_stat, want_grad = reduce_mlp_grads_ref(
                 traces, batch)
-            grads, stat, grad = parallel._reduce_mlp_grads(
-                traces, batch, _serial_guard, NullTimer())
+            grads, stat, grad = parallel._reduce_mlp_grads(traces, batch)
             assert _bits(grads.weights) == _bits(want_w)
             assert _bits(grads.biases) == _bits(want_b)
             assert (stat, grad) == (want_stat, want_grad)
@@ -407,8 +391,7 @@ class TestStreamedReduction:
 
         def streamed(ndev):
             t = traces(ndev)
-            return peak(lambda: parallel._reduce_mlp_grads(
-                t, n, _serial_guard, NullTimer()))
+            return peak(lambda: parallel._reduce_mlp_grads(t, n))
 
         one, four = streamed(1), streamed(4)
         assert one >= 6 * buffer        # numpy allocations are traced
@@ -418,28 +401,86 @@ class TestStreamedReduction:
         assert peak(lambda: reduce_mlp_grads_ref(t4, n)) > one + buffer + slack
 
 
+def _fail_third_gradient_contribution(monkeypatch):
+    calls = []
+    real = parallel.layer_grad_components
+
+    def third_call_fails(*args, **kwargs):
+        calls.append(len(calls))
+        if len(calls) == 3:
+            raise ValueError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "layer_grad_components", third_call_fails)
+
+
 class TestErrors:
-    @pytest.mark.parametrize("concurrent", [False, True])
     def test_failing_gradient_contribution_names_its_device(
-            self, monkeypatch, concurrent):
-        calls = []
-        real = parallel.layer_grad_components
-
-        def third_call_fails(*args, **kwargs):
-            calls.append(len(calls))
-            if len(calls) == 3:
-                raise ValueError("injected")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(parallel, "layer_grad_components",
-                            third_call_fails)
+            self, monkeypatch):
+        _fail_third_gradient_contribution(monkeypatch)
         cfg = toy_config(seed=51)
         trainer = ParallelTrainer(init_model(cfg), make_plan(cfg, 8, 4),
-                                  "sgd", 0.1, concurrent=concurrent)
+                                  "sgd", 0.1)
         batch = gen_batches(cfg, 8, 1, seed=62)[0]
         with pytest.raises(RuntimeError, match="^device 2: injected$"):
             trainer.step(*batch)
-        trainer.close()
+
+    def test_failing_serial_step_names_device_0(self, monkeypatch):
+        _fail_third_gradient_contribution(monkeypatch)
+        cfg = toy_config(seed=51)
+        batch = gen_batches(cfg, 8, 1, seed=62)[0]
+        with pytest.raises(RuntimeError, match="^device 0: injected$"):
+            train_step(init_model(cfg), *batch, make_optimizer("sgd", 0.1))
+
+    def test_serial_lookup_failure_names_device_0(self):
+        cfg = toy_config(seed=49)
+        dense, sparse, labels = gen_batches(cfg, 4, 1, seed=60)[0]
+        bad = SparseBatch(sparse[0].offsets, sparse[0].indices + 1000)
+        with pytest.raises(RuntimeError, match="^device 0: .*table 0"):
+            train_step(init_model(cfg), dense, [bad, sparse[1], sparse[2]],
+                       labels, make_optimizer("sgd", 0.1))
+
+    @staticmethod
+    def _stepper(cfg, batch, ndev):
+        """A fresh model and its step: serial ``train_step`` for ndev 1,
+        otherwise a ``ParallelTrainer`` on ndev devices."""
+        model = init_model(cfg)
+        if ndev == 1:
+            opt = make_optimizer("sgd", 0.1)
+            return model, lambda *b: train_step(model, *b, opt)
+        trainer = ParallelTrainer(model, make_plan(cfg, batch, ndev),
+                                  "sgd", 0.1)
+        return model, trainer.step
+
+    @pytest.mark.parametrize("ndev", [1, 2])
+    @pytest.mark.parametrize("shape", [(1,), (6, 1), (7,)], ids=str)
+    def test_labels_need_one_per_sample(self, ndev, shape):
+        cfg = toy_config(seed=52)
+        dense, sparse, _ = gen_batches(cfg, 6, 1, seed=63)[0]
+        model, step = self._stepper(cfg, 6, ndev)
+        with pytest.raises(ValueError,
+                           match=rf"^labels have shape {re.escape(str(shape))}"
+                                 r", expected \(6,\)$"):
+            step(dense, sparse, np.ones(shape))
+        assert all(np.array_equal(a, b) for a, b in zip(
+            model_arrays(model), model_arrays(init_model(cfg)), strict=True))
+
+    @pytest.mark.parametrize("ndev", [1, 2])
+    def test_one_sparse_batch_per_table(self, ndev):
+        cfg = toy_config(seed=53)
+        dense, sparse, labels = gen_batches(cfg, 6, 1, seed=64)[0]
+        short = SparseBatch(sparse[1].offsets[:-1],
+                            sparse[1].indices[:sparse[1].offsets[-2]])
+        model, step = self._stepper(cfg, 6, ndev)
+        for batches, message in (
+                (sparse + [sparse[0]], "^got 4 sparse batches for 3 tables$"),
+                (sparse[:2], "^got 2 sparse batches for 3 tables$"),
+                ([sparse[0], short, sparse[2]],
+                 "^sparse batch 1 has 5 segments, batch is 6$")):
+            with pytest.raises(ValueError, match=message):
+                step(dense, batches, labels)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            model_arrays(model), model_arrays(init_model(cfg)), strict=True))
 
     def test_device_context_on_failure(self):
         cfg = toy_config(seed=49)
@@ -449,7 +490,6 @@ class TestErrors:
         bad = SparseBatch(sparse[0].offsets, sparse[0].indices + 1000)
         with pytest.raises(RuntimeError, match="device"):
             trainer.step(dense, [bad, sparse[1], sparse[2]], labels)
-        trainer.close()
 
     def test_batch_size_must_match_plan(self):
         cfg = toy_config(seed=50)
@@ -458,4 +498,3 @@ class TestErrors:
         dense, sparse, labels = gen_batches(cfg, 6, 1, seed=61)[0]
         with pytest.raises(ValueError):
             trainer.step(dense, sparse, labels)
-        trainer.close()
