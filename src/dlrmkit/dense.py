@@ -4,15 +4,18 @@ streams, and partition-invariant cross-sample reductions.
 Everything here is float64. Two determinism guarantees matter to the rest of
 the package:
 
-* ``matmul`` zero-pads the rows of ``a`` to whole tiles of a fixed height and
-  makes one BLAS GEMM call per tile, so every row goes through a call of the
-  same shape. The rows of ``matmul(a, b)`` are bit-identical whether ``a`` is
-  the full mini-batch or any row-slice of it, provided a row's bits do not
-  depend on its position inside the tile. (A plain whole-matrix GEMM does not
-  have this property: its kernels sum in different orders for different
-  matrix heights.) Some BLAS kernels do make a row depend on its position in
-  taller tiles, so the tile height is picked once per process by a
-  self-check on first use; see ``matmul_tile_rows``.
+* ``matmul`` makes one BLAS GEMM call per tile of a fixed height, the last
+  tile zero-padded, so every row goes through a call of the same shape. The
+  rows of ``matmul(a, b)`` are bit-identical whether ``a`` is the full
+  mini-batch or any row-slice of it, provided a row's bits do not depend on
+  its position inside the tile. (A plain whole-matrix GEMM does not have
+  this property: its kernels sum in different orders for different matrix
+  heights.) OpenBLAS's AVX-512 kernels make a row depend on its position in
+  tiles of 16 or more rows when ``b`` has an odd width N > 192 that is not
+  a multiple of 8, so such a ``b`` is zero-padded to a multiple of 8
+  columns and the result sliced back to N. The tile height is picked once
+  per process by a self-check on first use, which runs the padded product;
+  see ``matmul_tile_rows``.
 
 * ``outer_sum_components`` / ``col_sum_components`` reduce over the sample
   axis using grid-snapped splits whose products and partial sums are exact in
@@ -66,14 +69,20 @@ def _as_matrix(a, name: str) -> Matrix:
 # products
 
 # Tile heights tried by the self-check, tallest (fastest) first; 1, the
-# per-row product, is the fallback when none passes.
-TILE_CANDIDATES = (32, 16, 8, 4, 2)
-# Probe shapes. OpenBLAS's AVX-512 kernels make a row's bits depend on its
-# position in tiles of 16 or more rows when N > 192 is not a multiple of 8,
-# so the N list includes such widths. The K list reaches the depths of
-# production products (256 to 1024), with one depth that is not a multiple
-# of 8. Largest shapes come first so that a failing tile height is rejected
-# after few calls.
+# per-row product, is the fallback when none passes. 128 is left out: its
+# self-check takes about 8 s against 3 s at 64, and the 64-row shards of a
+# 256 batch on 4 devices would run padded to 128 rows.
+TILE_CANDIDATES = (64, 32, 16, 8, 4, 2)
+# OpenBLAS's AVX-512 kernels make a row's bits depend on its position in
+# tiles of 16 or more rows when N > 192 is not a multiple of 8: the fringe
+# columns take another kernel path. Such a b is zero-padded to a multiple
+# of 8 columns inside the tiled product, which the self-check runs as is.
+_PAD_WIDER_THAN = 192
+# Probe shapes. The N list includes odd widths above _PAD_WIDER_THAN, which
+# the padding must make position-invariant. The K list reaches the depths
+# of production products (256 to 1024), with one depth that is not a
+# multiple of 8. Largest shapes come first so that a failing tile height is
+# rejected after few calls.
 _PROBE_K = (1024, 257, 65, 64, 3, 1)
 _PROBE_N = (1023, 257, 200, 193, 100, 64, 13, 7, 1)
 
@@ -81,11 +90,13 @@ _PROBE_N = (1023, 257, 200, 193, 100, 64, 13, 7, 1)
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product with per-row determinism.
 
-    ``a`` is zero-padded to a whole number of tiles of ``matmul_tile_rows()``
-    rows (copied only when its row count is not a multiple), and each tile is
-    one GEMM call. result[i] depends only on a[i] and b, so row-slicing ``a``
-    never changes the bits of the surviving rows. Raises ShapeError on an
-    inner-dimension mismatch.
+    Each tile of ``matmul_tile_rows()`` rows of ``a`` is one GEMM call; the
+    rows past the last whole tile are copied into one zero-padded tile. A
+    ``b`` wider than 192 columns whose width N is not a multiple of 8 gets
+    zero columns up to the next multiple, and the result keeps the first N.
+    result[i] depends only on a[i] and b, so row-slicing ``a`` never changes
+    the bits of the surviving rows. Raises ShapeError on an inner-dimension
+    mismatch.
     """
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
@@ -98,16 +109,22 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _tiled_matmul(a: Matrix, b: Matrix, tile: int) -> Matrix:
-    m = a.shape[0]
-    rows = -(-m // tile) * tile
-    if rows != m:
-        padded = np.zeros((rows, a.shape[1]), dtype=np.float64)
-        padded[:m] = a
-        a = padded
-    out = np.empty((rows, b.shape[1]), dtype=np.float64)
-    for i in range(0, rows, tile):
+    m, n = a.shape[0], b.shape[1]
+    if n > _PAD_WIDER_THAN and n % 8:
+        # every output column then lies in a whole 8-column block, so none
+        # takes the fringe kernel path
+        wide = np.zeros((b.shape[0], -(-n // 8) * 8), dtype=np.float64)
+        wide[:, :n] = b
+        b = wide
+    whole = m - m % tile
+    out = np.empty((-(-m // tile) * tile, b.shape[1]), dtype=np.float64)
+    for i in range(0, whole, tile):
         np.matmul(a[i:i + tile], b, out=out[i:i + tile])
-    return out[:m]
+    if whole != m:
+        tail = np.zeros((tile, a.shape[1]), dtype=np.float64)
+        tail[:m - whole] = a[whole:]
+        np.matmul(tail, b, out=out[whole:])
+    return out[:m, :n]
 
 
 @functools.cache
@@ -116,6 +133,9 @@ def matmul_tile_rows() -> int:
 
     Computed on first use as the tallest of TILE_CANDIDATES whose tiled
     product passes the row-position self-check, else 1 (one call per row).
+    The check costs more at taller tiles: on one core of a shared 2-vCPU
+    AVX-512 host, 2.9 s when it settles on 64 rows (1.2 s at 32, 0.3 s at
+    8), paid once per process.
     """
     return _choose_tile_rows(_tiled_matmul)
 

@@ -80,6 +80,10 @@ class DevicePlan:
         if any(not 0 <= d < self.num_devices for d in self.table_assignment):
             raise ValueError("table assigned to a device outside the plan")
         b = self.shard_bounds
+        if len(b) != self.num_devices + 1:
+            raise ValueError(
+                f"shard bounds need num_devices + 1 = {self.num_devices + 1} "
+                f"entries, got {len(b)}")
         if b[0] != 0 or any(x > y for x, y in zip(b, b[1:])):
             raise ValueError("shard bounds must start at 0 and be nondecreasing")
         sizes = [y - x for x, y in zip(b, b[1:])]

@@ -11,6 +11,7 @@ from dlrmkit.dense import (
     dot,
     matmul,
 )
+from dlrmkit.model import interaction_width
 
 from oracles import central_difference, exact_batch_outer, matmul_ref
 
@@ -96,9 +97,37 @@ class TestMatmul:
                 return out
             return product
 
-        assert dense._choose_tile_rows(per_row) == 32
+        assert dense._choose_tile_rows(per_row) == dense.TILE_CANDIDATES[0]
+        assert dense._choose_tile_rows(skewed_from(64)) == 32
         assert dense._choose_tile_rows(skewed_from(16)) == 8
         assert dense._choose_tile_rows(skewed_from(2)) == 1
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_criteo_width_row_shards(self, order):
+        # 26 tables at d=16 make the top MLP's input 367 wide, an odd width
+        # above 192 that matmul pads; its backward product has N = 367
+        width = interaction_width(16, 27)
+        assert width == 367
+        assert width > dense._PAD_WIDER_THAN and width % 8
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((256, 512)) * np.exp(
+            rng.standard_normal((256, 1)) * 4)
+        b = np.asarray(rng.standard_normal((512, width)), order=order)
+        full = matmul(a, b)
+        for lo, hi in [(0, 86), (86, 171), (171, 256)]:
+            assert np.array_equal(matmul(a[lo:hi], b), full[lo:hi])
+
+    @pytest.mark.parametrize("n", [193, 200, 257, 367, 1023])
+    def test_padded_columns_do_not_reach_the_result(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((70, 33))
+        b = rng.standard_normal((33, n))
+        got = matmul(a, b)
+        assert got.shape == (70, n)
+        # zero columns appended by hand take the same padded product
+        wide = np.hstack([b, np.zeros((33, -n % 8))])
+        assert np.array_equal(got, matmul(a, wide)[:, :n])
+        assert np.allclose(got, a @ b, rtol=1e-12, atol=1e-12)
 
 
 class TestDot:

@@ -115,6 +115,19 @@ class TestShardBounds:
         with pytest.raises(ValueError):
             plan.validate()
 
+    @pytest.mark.parametrize("bounds", [[0, 4], [0, 2, 3, 4]])
+    def test_bounds_need_one_entry_per_device_plus_one(self, bounds):
+        plan = DevicePlan(2, [0, 1], bounds)
+        with pytest.raises(ValueError, match=rf"= 3 entries, got {len(bounds)}"):
+            plan.validate()
+
+    def test_trainer_rejects_short_bounds_at_construction(self):
+        cfg = toy_config(seed=51)
+        model = init_model(cfg)
+        with pytest.raises(ValueError, match="= 3 entries, got 2"):
+            ParallelTrainer(model, DevicePlan(2, [0, 1, 1], [0, 4]),
+                            "sgd", 0.1)
+
 
 class TestButterflyShuffle:
     def test_single_device_identity(self):
@@ -231,6 +244,23 @@ class TestSerialEquivalence:
         assert losses == serial_losses
         assert params_equal(serial, trainer)
         assert trainer.max_replica_divergence() == 0.0
+
+    def test_criteo_top_width_three_devices(self):
+        # 26 tables at d=16: the top MLP's 367-wide input makes its backward
+        # product pad b to 368 columns inside matmul
+        cfg = DlrmConfig(embedding_sizes=[5] * 26, sparse_dim=16,
+                         bottom_mlp_dims=[4, 16], top_mlp_dims=[512, 1],
+                         seed=44)
+        assert cfg.top_in_dim == 367
+        batches = gen_batches(cfg, 150, 3, seed=55)
+        serial = init_model(cfg)
+        opt = make_optimizer("sgd", 0.1)
+        serial_losses = [train_step(serial, *b, opt).loss for b in batches]
+
+        trainer = ParallelTrainer(init_model(cfg), make_plan(cfg, 150, 3),
+                                  "sgd", 0.1)
+        assert [trainer.step(*b).loss for b in batches] == serial_losses
+        assert params_equal(serial, trainer)
 
     def test_accuracy_matches_too(self):
         cfg = toy_config(seed=46)
