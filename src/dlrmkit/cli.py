@@ -206,6 +206,11 @@ def _validate(config: DlrmConfig, options: RunOptions) -> None:
                         ("--val-batches", options.val_batches)):
         if value < 0:
             raise CliError(f"{flag} must be nonnegative, got {value}")
+    has_validation = options.val_batches > 0 or (
+        options.data_generation == "criteo" and options.criteo_val_path)
+    if options.eval_interval and not has_validation:
+        raise CliError("--eval-interval needs validation data: set "
+                       "--val-batches (or --criteo-val-path in criteo mode)")
     if options.data_generation in ("random", "synthetic"):
         k = options.num_indices_per_lookup
         if k < 1:
@@ -303,10 +308,8 @@ class _SyntheticSource(_RandomSource):
 
     def __init__(self, config: DlrmConfig, options: RunOptions, key: int):
         super().__init__(config, options, key)
-        k = options.num_indices_per_lookup
-        per_lookup = k if options.num_indices_per_lookup_fixed else (k + 1) / 2
         planned = max(1, int(options.num_batches * options.mini_batch_size
-                             * per_lookup))
+                             * self.spec.mean_lookups()))
         self.generators = []
         for t, m in enumerate(config.embedding_sizes):
             if options.synthetic_profiles:
@@ -331,13 +334,7 @@ class _SyntheticSource(_RandomSource):
             self.generators.append(TraceGenerator(adjusted, self.stream))
 
     def _sparse(self, t: int) -> SparseBatch:
-        k = self.spec.indices_per_lookup
-        if self.spec.indices_fixed:
-            lengths = np.full(self.spec.batch_size, k, dtype=np.int64)
-        else:
-            lengths = np.array(
-                [int(self.stream.integers(1, k + 1, size=()))
-                 for _ in range(self.spec.batch_size)], dtype=np.int64)
+        lengths = self.spec.draw_lengths(self.stream)
         ids = self.generators[t].next(int(lengths.sum()))
         return SparseBatch(offsets_from_lengths(lengths),
                            np.array(ids, dtype=np.int64))

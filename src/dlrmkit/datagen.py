@@ -66,6 +66,18 @@ class RandomDataSpec:
                     f"table size {m}"
                 )
 
+    def mean_lookups(self) -> float:
+        """Mean of the per-sample lookup count: k fixed, else (k + 1) / 2."""
+        k = self.indices_per_lookup
+        return k if self.indices_fixed else (k + 1) / 2
+
+    def draw_lengths(self, stream: RngStream) -> np.ndarray:
+        """One batch's per-sample lookup counts, drawn in one call."""
+        k = self.indices_per_lookup
+        if self.indices_fixed:
+            return np.full(self.batch_size, k, dtype=np.int64)
+        return stream.integers(1, k + 1, size=self.batch_size)
+
 
 def gen_dense_batch(spec: RandomDataSpec, stream: RngStream) -> Matrix:
     """Dense features uniform on [0, 1)."""
@@ -74,21 +86,10 @@ def gen_dense_batch(spec: RandomDataSpec, stream: RngStream) -> Matrix:
 
 def gen_sparse_batch(spec: RandomDataSpec, table_index: int,
                      stream: RngStream) -> SparseBatch:
-    """Per sample: k indices (fixed mode) or uniform-in-[1,k] many, each
-    uniform over [0, m). Draw order is sample-major (length, then indices)."""
-    m = spec.table_sizes[table_index]
-    k = spec.indices_per_lookup
-    if spec.indices_fixed:
-        lengths = np.full(spec.batch_size, k, dtype=np.int64)
-        indices = stream.integers(0, m, size=int(lengths.sum()))
-    else:
-        lengths = np.empty(spec.batch_size, dtype=np.int64)
-        chunks = []
-        for j in range(spec.batch_size):
-            n = int(stream.integers(1, k + 1, size=()))
-            lengths[j] = n
-            chunks.append(stream.integers(0, m, size=n))
-        indices = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
+    """``spec.draw_lengths``, then every index uniform over [0, m) at once."""
+    lengths = spec.draw_lengths(stream)
+    indices = stream.integers(0, spec.table_sizes[table_index],
+                              size=int(lengths.sum()))
     return SparseBatch(offsets_from_lengths(lengths), indices)
 
 

@@ -123,7 +123,7 @@ class Adagrad:
         self.lr = lr
         self.eps = eps
         self._mlp_state: dict[str, AdagradState] = {}
-        self._table_state: dict[int, np.ndarray] = {}
+        self._table_state: dict[int, tuple[EmbeddingTable, np.ndarray]] = {}
 
     def apply_mlp(self, params: MlpParams, grads: MlpGrads, which: str) -> None:
         state = self._mlp_state.get(which)
@@ -136,10 +136,15 @@ class Adagrad:
             adagrad_step(layer.bias, db, ab, self.lr, self.eps)
 
     def apply_table(self, table: EmbeddingTable, grad: SparseRowGrad) -> None:
-        accum = self._table_state.get(table.table_id)
-        if accum is None:
-            accum = self._table_state[table.table_id] = np.zeros_like(table.weights)
-        adagrad_step_rows(table.weights, grad, accum, self.lr, self.eps)
+        """Sparse Adagrad; a second table under a used id raises ValueError."""
+        entry = self._table_state.get(table.table_id)
+        if entry is None:
+            entry = self._table_state[table.table_id] = (
+                table, np.zeros_like(table.weights))
+        elif entry[0] is not table:
+            raise ValueError(f"table id {table.table_id} is already in use "
+                             "by another table")
+        adagrad_step_rows(table.weights, grad, entry[1], self.lr, self.eps)
 
 
 def make_optimizer(name: str, lr: float, eps: float = 1e-10):

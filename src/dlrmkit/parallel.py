@@ -300,11 +300,6 @@ def _forward_backward(bottom: MlpParams, top: MlpParams, dense_x: Matrix,
                         grad_embs)
 
 
-def _combine(collective, per_replica: list):
-    """Run a collective; a lone replica's value is used as is, not copied."""
-    return per_replica[0] if len(per_replica) == 1 else collective(per_replica)
-
-
 def _guard(fn, device: int):
     """Run device ``device``'s work ``fn(device)``; a failure in it is
     re-raised as ``device d: ...``, serial steps included (device 0)."""
@@ -334,8 +329,8 @@ def _reduce_mlp_grads(traces_per_dev: list[list[tuple]],
     grads = MlpGrads([], [])
     stat_payload = grad_payload = 0
     for l in range(len(traces_per_dev[0])):
-        x_max = _combine(allreduce_max, [t[l][2] for t in traces_per_dev])
-        g_max = _combine(allreduce_max, [t[l][3] for t in traces_per_dev])
+        x_max = allreduce_max([t[l][2] for t in traces_per_dev])
+        g_max = allreduce_max([t[l][3] for t in traces_per_dev])
         sums = None
         for d in range(len(traces_per_dev)):
             sums = _guard(lambda d: layer_grad_components(

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import os
@@ -391,6 +392,21 @@ class TestSyntheticMode:
             run_training(config, options)
 
 
+    @pytest.mark.parametrize("fixed", [[], ["--num-indices-per-lookup-fixed"]])
+    def test_counts_share_the_random_draw(self, fixed):
+        # per table: the counts in one draw, then one uniform per lookup
+        config, options = parse_args(
+            tiny_args(["--data-generation=synthetic", *fixed]))
+        source = make_source(config, options)
+        ref = copy.deepcopy(source.stream)
+        _, sparse, labels = source.next_batch()
+        ref.uniform(8, config.dense_dim)
+        for sb in sparse:
+            lengths = source.spec.draw_lengths(ref)
+            assert np.array_equal(sb.lengths(), lengths)
+            ref.uniform(1, int(lengths.sum()))
+        assert np.array_equal(ref.uniform(1, 8)[0] < 0.5, labels == 1.0)
+
     @pytest.mark.parametrize("boost", [10.0, 3.5])
     def test_first_touch_floor_bits(self, monkeypatch, boost):
         # each table's profile is adjusted with the floor
@@ -467,6 +483,15 @@ class TestMain:
         assert len(out) == 3  # 2 metric lines + report
         json.loads(out[0])
         assert json.loads(out[2])["matmul_tile_rows"] == matmul_tile_rows()
+
+    @pytest.mark.parametrize("extra", [
+        [], ["--criteo-val-path=val.txt"], ["--val-batches=0"]])
+    def test_eval_interval_without_validation_exits_2(self, capsys, extra):
+        # outside criteo mode --criteo-val-path gives no validation data
+        assert main(tiny_args(["--num-batches=4", "--eval-interval=2",
+                               *extra])) == 2
+        err = capsys.readouterr().err
+        assert "--eval-interval" in err and "--val-batches" in err
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["--no-such-flag"]) == 2

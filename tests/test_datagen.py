@@ -92,6 +92,21 @@ class TestSparseGeneration:
         assert np.array_equal(a.offsets, b.offsets)
         assert np.array_equal(a.indices, b.indices)
 
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_whole_batch_draws(self, fixed):
+        # counts in one call (none drawn when fixed), then every index in one
+        spec = self.spec(batch_size=50, indices_fixed=fixed)
+        sb = gen_sparse_batch(spec, 1, RngStream(9))
+        ref = RngStream(9)
+        lengths = np.full(50, 3) if fixed else ref.integers(1, 4, size=50)
+        indices = ref.integers(0, 9, size=int(lengths.sum()))
+        assert np.array_equal(sb.lengths(), lengths)
+        assert np.array_equal(sb.indices, indices)
+
+    @pytest.mark.parametrize("fixed, mean", [(False, 2.0), (True, 3)])
+    def test_mean_lookups(self, fixed, mean):
+        assert self.spec(indices_fixed=fixed).mean_lookups() == mean
+
 
 class TestProfileTrace:
     def test_triple_repeat(self):

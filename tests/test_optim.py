@@ -176,3 +176,14 @@ class TestFacade:
         opt.apply_table(t1, g)
         # independent accumulators: both tables saw exactly one unit step
         assert np.array_equal(t0.weights, t1.weights)
+
+    def test_adagrad_rejects_second_table_under_one_id(self):
+        opt = Adagrad(0.1)
+        first = EmbeddingTable(np.ones((4, 2)))
+        g = SparseRowGrad(np.array([0]), np.ones((1, 2)))
+        opt.apply_table(first, g)
+        opt.apply_table(first, g)       # the same table again is fine
+        second = EmbeddingTable(np.ones((4, 2)))
+        with pytest.raises(ValueError, match="table id 0"):
+            opt.apply_table(second, g)
+        assert np.array_equal(second.weights, np.ones((4, 2)))
