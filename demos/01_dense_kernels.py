@@ -13,6 +13,7 @@ from dlrmkit.dense import (
     activation,
     activation_grad,
     dot,
+    grid_components,
     matmul,
     outer_sum_components,
     sum_components,
@@ -50,10 +51,19 @@ print("\n== partition-invariant batch reduction ==")
 gy = rng.normal(9, 3) * np.array([[1.0, 1e8, 1e-6]])
 xs = rng.normal(9, 4)
 gmax, xmax = np.abs(gy).max(axis=0), np.abs(xs).max(axis=0)
-whole = outer_sum_components(gy, xs, gmax, xmax, 9)
+
+
+def shard_components(lo, hi):
+    # split each operand onto its batch-wide grids once, then take the
+    # slice products
+    return outer_sum_components(grid_components(gy[lo:hi], gmax, 9),
+                                grid_components(xs[lo:hi], xmax, 9))
+
+
+whole = shard_components(0, 9)
 parts = None
 for lo, hi in ((0, 3), (3, 5), (5, 9)):
-    piece = outer_sum_components(gy[lo:hi], xs[lo:hi], gmax, xmax, 9)
+    piece = shard_components(lo, hi)
     parts = piece if parts is None else [p + q for p, q in zip(parts, piece)]
 print("shard components sum to the full components bit for bit:",
       all(np.array_equal(w_, p_) for w_, p_ in zip(whole, parts)))

@@ -569,7 +569,10 @@ def _run(config: DlrmConfig, options: RunOptions,
     """The step loop of both modes: one metric record per iteration,
     validation records every --eval-interval iterations, and the trained
     parameters saved to --save-checkpoint. Batches are either drawn before
-    the clock starts or drawn per step under the ``datagen`` section."""
+    the clock starts or drawn per step under the ``datagen`` section. The
+    options are checked as ``parse_args`` checks them, so a library caller
+    gets the same ``CliError``."""
+    _validate(config, options)
     model = _build_model(config, options)
     source = make_source(config, options, key=0)
     batches = ([source.next_batch() for _ in range(options.num_batches)]

@@ -17,13 +17,16 @@ the package:
   per process by a self-check on first use, which runs the padded product;
   see ``matmul_tile_rows``.
 
-* ``outer_sum_components`` / ``col_sum_components`` reduce over the sample
-  axis using grid-snapped splits whose products and partial sums are exact in
-  float64. Exact arithmetic is associative, so the reduction result is
-  bit-identical for any contiguous partition of the samples, the property
-  that makes data-parallel gradient allreduce match serial training exactly.
-  Given ``out=``, they add a shard's components into an earlier shard's in
-  place, so a reduction over shards holds one set of components at a time.
+* ``grid_components`` splits each operand of a cross-sample reduction once
+  into grid-snapped slices; ``outer_sum_components`` / ``col_sum_components``
+  take those slices and reduce over the sample axis with products and
+  partial sums that are exact in float64. Exact arithmetic is associative,
+  so the reduction result is bit-identical for any contiguous partition of
+  the samples, the property that makes data-parallel gradient allreduce
+  match serial training exactly. Given ``out=``, they add a shard's
+  components into an earlier shard's in place, so a reduction over shards
+  holds one set of components at a time. A zero column snaps to +0.0
+  through the same add and subtract as any other; a NaN column stays NaN.
 """
 
 from __future__ import annotations
@@ -288,30 +291,29 @@ def grid_components(a: Matrix, col_max: np.ndarray, n_total: int):
     col_max must be the abs-max of each column over the FULL sample set (all
     shards), so the grids are identical no matter which row-slice ``a`` is.
     Values above col_max (never the case when col_max is computed correctly)
-    or non-finite inputs void the exactness guarantee.
+    or non-finite inputs void the exactness guarantee. A zero column
+    (col_max 0) snaps to +0.0, since (+-0 + c) - c = +0.0; a NaN propagates.
     """
     a = np.asarray(a, dtype=np.float64)
-    col_max = np.asarray(col_max, dtype=np.float64)
     bits = reduction_bits(n_total)
-    nz = col_max > 0.0
     # col_max <= 2^e
-    e = np.frexp(col_max)[1]
+    e = np.frexp(np.asarray(col_max, dtype=np.float64))[1]
     comps = []
     rem = a
     for p in range(1, LEVELS + 1):
-        grid = np.ldexp(1.0, e - p * bits)
-        # round-to-nearest-even onto the grid via the 1.5*2^52 magic constant
-        c = np.where(nz, np.ldexp(1.5, 52) * grid, 0.0)
+        # round-to-nearest-even onto the grid 2^(e - p*bits) via the
+        # 1.5*2^52 magic constant
+        c = np.ldexp(1.5, 52) * np.ldexp(1.0, e - p * bits)
         snapped = (rem + c) - c
-        snapped = np.where(nz, snapped, 0.0)
         comps.append(snapped)
-        rem = rem - snapped
+        if p < LEVELS:
+            rem = rem - snapped
     return comps
 
 
-def outer_sum_components(gy: Matrix, x: Matrix, gy_max, x_max, n_total: int,
-                         out=None):
-    """Exact-slice components of sum_b outer(gy[b], x[b]).
+def outer_sum_components(gs, xs, out=None):
+    """Exact-slice components of sum_b outer(gy[b], x[b]), given the slices
+    ``gs`` of gy and ``xs`` of x from ``grid_components``.
 
     Returns one (gy_cols x x_cols) matrix per CROSS_TERMS pair. Each is an
     exact value: summing the per-shard components elementwise and then
@@ -323,8 +325,6 @@ def outer_sum_components(gy: Matrix, x: Matrix, gy_max, x_max, n_total: int,
     allocated. The adds are the ones an elementwise sum of the two lists
     would make, so the bits are too.
     """
-    gs = grid_components(gy, gy_max, n_total)
-    xs = grid_components(x, x_max, n_total)
     if out is None:
         return [gs[p - 1].T @ xs[q - 1] for p, q in CROSS_TERMS]
     buf = np.empty((gs[0].shape[1], xs[0].shape[1]), dtype=np.float64)
@@ -334,17 +334,17 @@ def outer_sum_components(gy: Matrix, x: Matrix, gy_max, x_max, n_total: int,
     return out
 
 
-def col_sum_components(a: Matrix, col_max, n_total: int, out=None):
-    """Exact-slice components of the per-column sum over samples.
+def col_sum_components(gs, out=None):
+    """Exact-slice components of the per-column sum over samples, given the
+    slices ``gs`` from ``grid_components``.
 
     With ``out`` (an earlier shard's result), the components are added into
     it in place and it is returned, as in ``outer_sum_components``.
     """
-    comps = grid_components(a, col_max, n_total)
     if out is None:
-        return [c.sum(axis=0) for c in comps]
-    for acc, c in zip(out, comps):
-        acc += c.sum(axis=0)
+        return [g.sum(axis=0) for g in gs]
+    for acc, g in zip(out, gs):
+        acc += g.sum(axis=0)
     return out
 
 
@@ -352,5 +352,5 @@ def sum_components(components):
     """Recombine slice totals in fixed order (the only rounding site)."""
     out = np.array(components[0], dtype=np.float64, copy=True)
     for c in components[1:]:
-        out = out + c
+        out += c
     return out

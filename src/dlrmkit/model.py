@@ -171,15 +171,17 @@ def layer_grad_components(x_l: Matrix, gz_l: Matrix, x_max, gz_max,
                           n_total: int, out=None):
     """Exact reduction components for one layer's (grad_W, grad_b).
 
-    With ``out``, an earlier shard's ``(w_comps, b_comps)``, this shard's
-    components are added into it in place and it is returned (the ``out=``
-    contract of ``dense.outer_sum_components``).
+    ``x_l`` and ``gz_l`` are each split onto their grids once; the ``gz_l``
+    slices feed both the weight and the bias products. With ``out``, an
+    earlier shard's ``(w_comps, b_comps)``, this shard's components are
+    added into it in place and it is returned (the ``out=`` contract of
+    ``dense.outer_sum_components``).
     """
     w_out, b_out = (None, None) if out is None else out
-    w_comps = dense.outer_sum_components(gz_l, x_l, gz_max, x_max, n_total,
-                                         out=w_out)
-    b_comps = dense.col_sum_components(gz_l, gz_max, n_total, out=b_out)
-    return w_comps, b_comps
+    gs = dense.grid_components(gz_l, gz_max, n_total)
+    xs = dense.grid_components(x_l, x_max, n_total)
+    return (dense.outer_sum_components(gs, xs, out=w_out),
+            dense.col_sum_components(gs, out=b_out))
 
 
 def mlp_backward(params: MlpParams, cache: MlpCache, grad_y: Matrix,

@@ -9,8 +9,6 @@ exact bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .embedding import EmbeddingTable, SparseRowGrad
@@ -21,7 +19,6 @@ __all__ = [
     "sgd_step_rows",
     "adagrad_step",
     "adagrad_step_rows",
-    "AdagradState",
     "Sgd",
     "Adagrad",
     "make_optimizer",
@@ -78,19 +75,6 @@ def adagrad_step_rows(weights: np.ndarray, grad: SparseRowGrad,
     weights[rows] -= lr * grad.values / (np.sqrt(accum[rows]) + eps)
 
 
-@dataclass
-class AdagradState:
-    """Per-parameter sums of squared gradients, same shapes as the params."""
-
-    mlp_weights: list[np.ndarray]
-    mlp_biases: list[np.ndarray]
-
-    @classmethod
-    def for_mlp(cls, params: MlpParams) -> "AdagradState":
-        return cls([np.zeros_like(l.weight) for l in params.layers],
-                   [np.zeros_like(l.bias) for l in params.layers])
-
-
 class Sgd:
     """Plain SGD over a full model (dense MLPs + sparse tables)."""
 
@@ -101,7 +85,7 @@ class Sgd:
             raise ValueError("learning rate must be nonnegative")
         self.lr = lr
 
-    def apply_mlp(self, params: MlpParams, grads: MlpGrads, which: str) -> None:
+    def apply_mlp(self, params: MlpParams, grads: MlpGrads) -> None:
         for layer, dw, db in zip(params.layers, grads.weights, grads.biases):
             sgd_step(layer.weight, dw, self.lr)
             sgd_step(layer.bias, db, self.lr)
@@ -111,7 +95,8 @@ class Sgd:
 
 
 class Adagrad:
-    """Adagrad with full-shape accumulators, lazily keyed per parameter group."""
+    """Adagrad with one full-shape accumulator per parameter array, keyed by
+    the array itself: two tables or layers never share one."""
 
     name = "adagrad"
 
@@ -122,29 +107,26 @@ class Adagrad:
             raise ValueError("eps must be nonnegative")
         self.lr = lr
         self.eps = eps
-        self._mlp_state: dict[str, AdagradState] = {}
-        self._table_state: dict[int, tuple[EmbeddingTable, np.ndarray]] = {}
+        # id(param) -> (param, accumulator); holding param keeps its id
+        # from being reused by another array
+        self._state: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def apply_mlp(self, params: MlpParams, grads: MlpGrads, which: str) -> None:
-        state = self._mlp_state.get(which)
-        if state is None:
-            state = self._mlp_state[which] = AdagradState.for_mlp(params)
-        for layer, dw, db, aw, ab in zip(params.layers, grads.weights,
-                                         grads.biases, state.mlp_weights,
-                                         state.mlp_biases):
-            adagrad_step(layer.weight, dw, aw, self.lr, self.eps)
-            adagrad_step(layer.bias, db, ab, self.lr, self.eps)
+    def _accum(self, param: np.ndarray) -> np.ndarray:
+        entry = self._state.get(id(param))
+        if entry is None:
+            entry = self._state[id(param)] = (param, np.zeros_like(param))
+        return entry[1]
+
+    def apply_mlp(self, params: MlpParams, grads: MlpGrads) -> None:
+        for layer, dw, db in zip(params.layers, grads.weights, grads.biases):
+            adagrad_step(layer.weight, dw, self._accum(layer.weight),
+                         self.lr, self.eps)
+            adagrad_step(layer.bias, db, self._accum(layer.bias),
+                         self.lr, self.eps)
 
     def apply_table(self, table: EmbeddingTable, grad: SparseRowGrad) -> None:
-        """Sparse Adagrad; a second table under a used id raises ValueError."""
-        entry = self._table_state.get(table.table_id)
-        if entry is None:
-            entry = self._table_state[table.table_id] = (
-                table, np.zeros_like(table.weights))
-        elif entry[0] is not table:
-            raise ValueError(f"table id {table.table_id} is already in use "
-                             "by another table")
-        adagrad_step_rows(table.weights, grad, entry[1], self.lr, self.eps)
+        adagrad_step_rows(table.weights, grad, self._accum(table.weights),
+                          self.lr, self.eps)
 
 
 def make_optimizer(name: str, lr: float, eps: float = 1e-10):

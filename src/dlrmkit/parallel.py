@@ -347,8 +347,8 @@ def _reduce_mlp_grads(traces_per_dev: list[list[tuple]],
 
 def _update(optimizer, bottom: MlpParams, top: MlpParams, grads: dict,
             table_grads) -> None:
-    optimizer.apply_mlp(bottom, grads["bottom"], "bottom")
-    optimizer.apply_mlp(top, grads["top"], "top")
+    optimizer.apply_mlp(bottom, grads["bottom"])
+    optimizer.apply_mlp(top, grads["top"])
     for table, g in table_grads:
         optimizer.apply_table(table, g)
 

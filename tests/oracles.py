@@ -316,10 +316,10 @@ class RecordingOptimizer:
     """
 
     def __init__(self):
-        self.mlp, self.tables = {}, []
+        self.mlp, self.tables = [], []
 
-    def apply_mlp(self, params, grads, which):
-        self.mlp[which] = grads
+    def apply_mlp(self, params, grads):
+        self.mlp.append(grads)      # bottom, then top
 
     def apply_table(self, table, grad):
         self.tables.append(grad)

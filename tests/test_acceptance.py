@@ -106,8 +106,7 @@ def test_criterion_02_end_to_end_gradients():
 
     worst = 0.0
     checked = 0
-    for mlp, g in ((model.bottom, recorder.mlp["bottom"]),
-                   (model.top, recorder.mlp["top"])):
+    for mlp, g in zip((model.bottom, model.top), recorder.mlp, strict=True):
         for l, layer in enumerate(mlp.layers):
             for arr, ga in ((layer.weight, g.weights[l]),
                             (layer.bias, g.biases[l])):

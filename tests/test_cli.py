@@ -157,6 +157,13 @@ class TestRunTraining:
         assert serial_lines == par_lines
         assert report.comm_report is not None
 
+    @pytest.mark.parametrize("runner", [run_training, run_benchmark])
+    def test_library_callers_get_the_flag_checks(self, runner):
+        config, options = parse_args(tiny_args())
+        bad = dataclasses.replace(options, eval_interval=2)
+        with pytest.raises(CliError, match="--eval-interval.*--val-batches"):
+            runner(config, bad)
+
     def test_validation_records(self):
         config, options = parse_args(
             tiny_args(["--eval-interval=5", "--val-batches=2"]))

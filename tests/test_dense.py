@@ -222,6 +222,16 @@ class TestRngStream:
         assert not np.array_equal(s.uniform(2, 2), s.uniform(2, 2))
 
 
+def _outer(gy, x, gmax, xmax, n_total):
+    return dense.outer_sum_components(
+        dense.grid_components(gy, gmax, n_total),
+        dense.grid_components(x, xmax, n_total))
+
+
+def _col(gy, gmax, n_total):
+    return dense.col_sum_components(dense.grid_components(gy, gmax, n_total))
+
+
 class TestPartitionInvariantReduction:
     def _random_case(self, rng):
         b = int(rng.integers(1, 33))
@@ -239,11 +249,16 @@ class TestPartitionInvariantReduction:
             gy, x = self._random_case(rng)
             if trial % 5 == 0:
                 gy[:, 0] = 0.0  # zero column edge case
+            if trial % 5 == 1:
+                gy[:, -1] = -0.0  # negative-zero column edge case
             b = gy.shape[0]
             gmax = np.abs(gy).max(axis=0)
             xmax = np.abs(x).max(axis=0)
-            full = dense.outer_sum_components(gy, x, gmax, xmax, b)
-            fullb = dense.col_sum_components(gy, gmax, b)
+            full = _outer(gy, x, gmax, xmax, b)
+            fullb = _col(gy, gmax, b)
+            if trial % 5 == 1:
+                # the column's slices snap to +0.0, so its sums do too
+                assert not any(np.signbit(c[-1]) for c in fullb)
             for ndev in (2, 3, 4):
                 if b < ndev:
                     continue
@@ -253,9 +268,8 @@ class TestPartitionInvariantReduction:
                 parts = None
                 partsb = None
                 for lo, hi in zip(bounds, bounds[1:]):
-                    pc = dense.outer_sum_components(
-                        gy[lo:hi], x[lo:hi], gmax, xmax, b)
-                    pb = dense.col_sum_components(gy[lo:hi], gmax, b)
+                    pc = _outer(gy[lo:hi], x[lo:hi], gmax, xmax, b)
+                    pb = _col(gy[lo:hi], gmax, b)
                     parts = pc if parts is None else [
                         s + t for s, t in zip(parts, pc)]
                     partsb = pb if partsb is None else [
@@ -271,7 +285,7 @@ class TestPartitionInvariantReduction:
         for _ in range(20):
             gy, x = self._random_case(rng)
             b = gy.shape[0]
-            got = dense.sum_components(dense.outer_sum_components(
+            got = dense.sum_components(_outer(
                 gy, x, np.abs(gy).max(axis=0), np.abs(x).max(axis=0), b))
             exact = exact_batch_outer(gy, x)
             scale = (np.abs(gy).max(axis=0)[:, None]
@@ -284,7 +298,7 @@ class TestPartitionInvariantReduction:
         rng = np.random.default_rng(22)
         gy = rng.standard_normal((57, 5)) * np.exp(
             rng.standard_normal((1, 5)) * 8)
-        got = dense.sum_components(dense.col_sum_components(
+        got = dense.sum_components(_col(
             gy, np.abs(gy).max(axis=0), 57))
         exact = np.array([math.fsum(gy[:, j]) for j in range(5)])
         assert np.allclose(got, exact, rtol=1e-12, atol=0.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dlrmkit import dense
 from dlrmkit.dense import RngStream, activation
 from dlrmkit.embedding import (
     LookupIndexError,
@@ -24,6 +25,7 @@ from dlrmkit.model import (
     interact,
     interact_backward,
     interaction_width,
+    layer_grad_components,
     mlp_backward,
     mlp_forward,
     mlp_param_count,
@@ -117,6 +119,36 @@ class TestMlpBackward:
         assert np.allclose(grads.biases[0], gy.sum(axis=0), rtol=1e-12,
                            atol=1e-14)
         assert np.allclose(gx, gy @ w, rtol=1e-12, atol=1e-14)
+
+    @staticmethod
+    def _layer_grads(x, gz):
+        w_comps, b_comps = layer_grad_components(
+            x, gz, np.abs(x).max(axis=0), np.abs(gz).max(axis=0),
+            x.shape[0])
+        return dense.sum_components(w_comps), dense.sum_components(b_comps)
+
+    def test_nan_gradient_column_propagates(self):
+        rng = np.random.default_rng(7)
+        x, gz = rng.standard_normal((6, 3)), rng.standard_normal((6, 4))
+        gz[2, 1] = np.nan
+        dw, db = self._layer_grads(x, gz)
+        assert np.isnan(dw[1]).all() and np.isnan(db[1])
+        rest = [0, 2, 3]
+        assert np.isfinite(dw[rest]).all() and np.isfinite(db[rest]).all()
+
+    def test_each_operand_split_once(self, monkeypatch):
+        split = []
+        real = dense.grid_components
+
+        def counted(a, col_max, n_total):
+            split.append(a.shape)
+            return real(a, col_max, n_total)
+
+        monkeypatch.setattr(dense, "grid_components", counted)
+        rng = np.random.default_rng(8)
+        self._layer_grads(rng.standard_normal((6, 3)),
+                          rng.standard_normal((6, 4)))
+        assert sorted(split) == [(6, 3), (6, 4)]
 
     def test_every_parameter_against_finite_differences(self):
         rng = RngStream(6)

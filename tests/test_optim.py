@@ -177,13 +177,16 @@ class TestFacade:
         # independent accumulators: both tables saw exactly one unit step
         assert np.array_equal(t0.weights, t1.weights)
 
-    def test_adagrad_rejects_second_table_under_one_id(self):
+    def test_adagrad_tables_sharing_an_id_train_independently(self):
         opt = Adagrad(0.1)
         first = EmbeddingTable(np.ones((4, 2)))
+        second = EmbeddingTable(np.ones((4, 2)))
+        assert first.table_id == second.table_id
         g = SparseRowGrad(np.array([0]), np.ones((1, 2)))
         opt.apply_table(first, g)
-        opt.apply_table(first, g)       # the same table again is fine
-        second = EmbeddingTable(np.ones((4, 2)))
-        with pytest.raises(ValueError, match="table id 0"):
-            opt.apply_table(second, g)
-        assert np.array_equal(second.weights, np.ones((4, 2)))
+        opt.apply_table(first, g)       # the same table again: one state
+        opt.apply_table(second, g)
+        # second starts from a zero accumulator, as first did
+        alone = EmbeddingTable(np.ones((4, 2)))
+        Adagrad(0.1).apply_table(alone, g)
+        assert np.array_equal(second.weights, alone.weights)

@@ -314,8 +314,7 @@ def test_train_step_gradients_equal_dlrm_backward(batch):
     reference = init_model(cfg)
     prob, cache = dlrm_forward_ref(reference, dense, sparse)
     want = dlrm_backward_ref(reference, cache, (prob - labels) / batch)
-    for which in ("bottom", "top"):
-        got, ref = recorder.mlp[which], getattr(want, which)
+    for got, ref in zip(recorder.mlp, (want.bottom, want.top), strict=True):
         for g, r in zip(got.weights + got.biases, ref.weights + ref.biases,
                         strict=True):
             assert np.array_equal(g, r)
