@@ -53,18 +53,21 @@ xs = rng.normal(9, 4)
 gmax, xmax = np.abs(gy).max(axis=0), np.abs(xs).max(axis=0)
 
 
-def shard_components(lo, hi):
-    # split each operand onto its batch-wide grids once, then take the
-    # slice products
-    return outer_sum_components(grid_components(gy[lo:hi], gmax, 9),
-                                grid_components(xs[lo:hi], xmax, 9))
+def shard_slices(lo, hi):
+    # split each operand onto its batch-wide grids once
+    return (grid_components(gy[lo:hi], gmax, 9),
+            grid_components(xs[lo:hi], xmax, 9))
 
 
-whole = shard_components(0, 9)
-parts = None
-for lo, hi in ((0, 3), (3, 5), (5, 9)):
-    piece = shard_components(lo, hi)
-    parts = piece if parts is None else [p + q for p, q in zip(parts, piece)]
-print("shard components sum to the full components bit for bit:",
+def buckets(bounds):
+    # one exact bucket per slice pair, summed over the shards in order;
+    # copied, since the generator reuses its buffer
+    g_slices, x_slices = zip(*(shard_slices(lo, hi) for lo, hi in bounds))
+    return [c.copy() for c in outer_sum_components(g_slices, x_slices)]
+
+
+whole = buckets([(0, 9)])
+parts = buckets([(0, 3), (3, 5), (5, 9)])
+print("shard buckets equal the full-batch buckets bit for bit:",
       all(np.array_equal(w_, p_) for w_, p_ in zip(whole, parts)))
 print("recombined gradient:\n", sum_components(whole))

@@ -606,7 +606,10 @@ def _run(config: DlrmConfig, options: RunOptions,
                 dense, sparse, labels = source.next_batch()
         else:
             dense, sparse, labels = batches[it]
-        result = step(dense, sparse, labels, timer=timer)
+        try:
+            result = step(dense, sparse, labels, timer=timer)
+        except FloatingPointError as e:
+            raise CliError(f"iteration {it}: {e}") from e
         record(it, "train", result.loss, result.accuracy)
         if (options.eval_interval and eval_batches
                 and (it + 1) % options.eval_interval == 0):

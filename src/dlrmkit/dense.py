@@ -19,14 +19,17 @@ the package:
 
 * ``grid_components`` splits each operand of a cross-sample reduction once
   into grid-snapped slices; ``outer_sum_components`` / ``col_sum_components``
-  take those slices and reduce over the sample axis with products and
-  partial sums that are exact in float64. Exact arithmetic is associative,
-  so the reduction result is bit-identical for any contiguous partition of
-  the samples, the property that makes data-parallel gradient allreduce
-  match serial training exactly. Given ``out=``, they add a shard's
-  components into an earlier shard's in place, so a reduction over shards
-  holds one set of components at a time. A zero column snaps to +0.0
-  through the same add and subtract as any other; a NaN column stays NaN.
+  take every shard's slices and reduce over the sample axis with products
+  and partial sums that are exact in float64. Exact arithmetic is
+  associative, so the reduction result is bit-identical for any contiguous
+  partition of the samples, the property that makes data-parallel gradient
+  allreduce match serial training exactly. They yield one bucket per slice
+  pair (level), each summed over the shards in ascending order, and
+  ``sum_components`` folds each bucket into the result as soon as it is
+  complete, the way a bucketed allreduce overlaps its buckets: a weight
+  gradient holds the result, one bucket and one product buffer, never all
+  six components. A zero column snaps to +0.0 through the same add and
+  subtract as any other; a NaN column stays NaN.
 """
 
 from __future__ import annotations
@@ -311,46 +314,59 @@ def grid_components(a: Matrix, col_max: np.ndarray, n_total: int):
     return comps
 
 
-def outer_sum_components(gs, xs, out=None):
-    """Exact-slice components of sum_b outer(gy[b], x[b]), given the slices
-    ``gs`` of gy and ``xs`` of x from ``grid_components``.
+def outer_sum_components(gs_per_shard, xs_per_shard):
+    """Exact-slice components of sum_b outer(gy[b], x[b]) over every shard,
+    given each shard's slices ``gs`` of gy and ``xs`` of x from
+    ``grid_components``, in ascending shard order.
 
-    Returns one (gy_cols x x_cols) matrix per CROSS_TERMS pair. Each is an
-    exact value: summing the per-shard components elementwise and then
-    ``sum_components`` gives bits identical to computing over the full batch.
+    Yields one bucket per CROSS_TERMS pair: the shards' products of that
+    slice pair summed in shard order, an exact value, so the bits do not
+    depend on how the samples are split into shards. Folding the buckets
+    with ``sum_components`` gives the gradient.
 
-    With ``out`` (a list of such matrices, say an earlier shard's result),
-    each product is computed into one reused buffer and added in place into
-    its ``out`` entry, which is returned; no other product matrix is
-    allocated. The adds are the ones an elementwise sum of the two lists
-    would make, so the bits are too.
+    The first bucket is a fresh (gy_cols x x_cols) matrix; every later one
+    is yielded in one reused buffer, so a bucket must be used (folded)
+    before the next is drawn. Shards after the first compute their product
+    into one more reused buffer and add it in. Two matrices are thus in
+    flight besides the caller's, and one on a single shard.
     """
-    if out is None:
-        return [gs[p - 1].T @ xs[q - 1] for p, q in CROSS_TERMS]
-    buf = np.empty((gs[0].shape[1], xs[0].shape[1]), dtype=np.float64)
-    for acc, (p, q) in zip(out, CROSS_TERMS):
-        np.matmul(gs[p - 1].T, xs[q - 1], out=buf)
-        acc += buf
-    return out
+    shape = (gs_per_shard[0][0].shape[1], xs_per_shard[0][0].shape[1])
+    bucket = np.empty(shape, dtype=np.float64)
+    product = (np.empty(shape, dtype=np.float64)
+               if len(gs_per_shard) > 1 else None)
+    for k, (p, q) in enumerate(CROSS_TERMS):
+        if k == 1:      # the caller keeps the first bucket as its result
+            bucket = np.empty(shape, dtype=np.float64)
+        np.matmul(gs_per_shard[0][p - 1].T, xs_per_shard[0][q - 1],
+                  out=bucket)
+        for gs, xs in zip(gs_per_shard[1:], xs_per_shard[1:]):
+            np.matmul(gs[p - 1].T, xs[q - 1], out=product)
+            bucket += product
+        yield bucket
 
 
-def col_sum_components(gs, out=None):
-    """Exact-slice components of the per-column sum over samples, given the
-    slices ``gs`` from ``grid_components``.
+def col_sum_components(gs_per_shard):
+    """Exact-slice components of the per-column sum over samples of every
+    shard, given each shard's slices ``gs`` from ``grid_components``.
 
-    With ``out`` (an earlier shard's result), the components are added into
-    it in place and it is returned, as in ``outer_sum_components``.
+    Yields one bucket per slice level: the shards' column sums of that
+    slice added in shard order, as ``outer_sum_components`` does.
     """
-    if out is None:
-        return [g.sum(axis=0) for g in gs]
-    for acc, g in zip(out, gs):
-        acc += g.sum(axis=0)
-    return out
+    for p in range(LEVELS):
+        out = gs_per_shard[0][p].sum(axis=0)
+        for gs in gs_per_shard[1:]:
+            out += gs[p].sum(axis=0)
+        yield out
 
 
 def sum_components(components):
-    """Recombine slice totals in fixed order (the only rounding site)."""
-    out = np.array(components[0], dtype=np.float64, copy=True)
-    for c in components[1:]:
+    """Fold the components in order (the only rounding site): the first
+    becomes the result, not a copy, and each later one is added into it in
+    place as soon as it is drawn, so ``components`` may be one of the
+    generators above.
+    """
+    components = iter(components)
+    out = next(components)
+    for c in components:
         out += c
     return out

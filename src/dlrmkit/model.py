@@ -168,20 +168,16 @@ def mlp_backward_trace(params: MlpParams, cache: MlpCache, grad_y: Matrix
 
 
 def layer_grad_components(x_l: Matrix, gz_l: Matrix, x_max, gz_max,
-                          n_total: int, out=None):
-    """Exact reduction components for one layer's (grad_W, grad_b).
+                          n_total: int):
+    """One shard's grid slices ``(gs, xs)`` of ``gz_l`` and ``x_l`` for the
+    exact (grad_W, grad_b) reduction of one layer.
 
-    ``x_l`` and ``gz_l`` are each split onto their grids once; the ``gz_l``
-    slices feed both the weight and the bias products. With ``out``, an
-    earlier shard's ``(w_comps, b_comps)``, this shard's components are
-    added into it in place and it is returned (the ``out=`` contract of
-    ``dense.outer_sum_components``).
+    Each operand is split onto its grids once; the ``gs`` slices feed both
+    the weight products (``dense.outer_sum_components``) and the bias sums
+    (``dense.col_sum_components``), which take every shard's slices.
     """
-    w_out, b_out = (None, None) if out is None else out
-    gs = dense.grid_components(gz_l, gz_max, n_total)
-    xs = dense.grid_components(x_l, x_max, n_total)
-    return (dense.outer_sum_components(gs, xs, out=w_out),
-            dense.col_sum_components(gs, out=b_out))
+    return (dense.grid_components(gz_l, gz_max, n_total),
+            dense.grid_components(x_l, x_max, n_total))
 
 
 def mlp_backward(params: MlpParams, cache: MlpCache, grad_y: Matrix,
@@ -199,9 +195,10 @@ def mlp_backward(params: MlpParams, cache: MlpCache, grad_y: Matrix,
         n_total = cache.x0.shape[0]
     dws, dbs = [], []
     for trace in traces:
-        w_comps, b_comps = layer_grad_components(*trace, n_total)
-        dws.append(dense.sum_components(w_comps))
-        dbs.append(dense.sum_components(b_comps))
+        gs, xs = layer_grad_components(*trace, n_total)
+        dws.append(dense.sum_components(
+            dense.outer_sum_components([gs], [xs])))
+        dbs.append(dense.sum_components(dense.col_sum_components([gs])))
     return MlpGrads(dws, dbs), grad_x
 
 

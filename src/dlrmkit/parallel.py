@@ -13,9 +13,15 @@ The simulator is bit-equivalent to serial execution for any device count:
 per-sample computation never mixes rows, cross-sample gradient reductions
 use the exact grid components from :mod:`dlrmkit.dense` (invariant to
 contiguous partitioning), and every collective reduces in ascending replica
-order. The MLP gradient allreduce is streamed: devices add their
-components, in ascending device order, into one running sum per layer, so
-only one device's contribution is in flight.
+order. The MLP gradient allreduce is bucketed: one component (slice pair)
+at a time is summed over the devices in ascending device order and folded
+into the gradient as soon as it is complete, so a layer holds its
+gradient, one bucket and one product buffer (two buffers on one device)
+rather than every component; the price is holding every device's grid
+slices of the layer at once, which costs less while the batch is below
+``2 * in * out / (in + out)`` for an ``in -> out`` layer. Nothing
+non-finite is applied: the loss and every gradient are checked before any
+device updates, and a failure raises ``FloatingPointError`` naming it.
 """
 
 from __future__ import annotations
@@ -309,6 +315,13 @@ def _guard(fn, device: int):
         raise RuntimeError(f"device {device}: {e}") from e
 
 
+def _require_finite(values, what: str) -> None:
+    """Stop the step before its update when ``values`` holds a NaN or an
+    infinity: raise ``FloatingPointError("<what> is not finite")``."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"{what} is not finite")
+
+
 def _reduce_mlp_grads(traces_per_dev: list[list[tuple]],
                       n_total: int) -> tuple[MlpGrads, int, int]:
     """Exact full-batch gradients of one MLP from every device's per-layer
@@ -316,32 +329,37 @@ def _reduce_mlp_grads(traces_per_dev: list[list[tuple]],
     the stat and component allreduces.
 
     Per layer: allreduce of the local column abs-maxima (the shared grids);
-    then the component allreduce, streamed in ascending device order, which
-    is the reduce-to-root order of ``allreduce``: device 0's components
-    become the running sum, and each later device adds its own into it in
-    place, one slice product at a time; then one rounding in
-    ``sum_components``. The adds are those of ``allreduce`` over the
-    per-device lists, so the bits are too, but only the running sum and one
-    product buffer are held instead of every device's components. A layer's
-    sum is freed before the next layer's is built. Each device's
-    contribution runs under ``_guard``.
+    each device splits its shard once (``layer_grad_components``, under
+    ``_guard``, in ascending device order); then the component allreduce,
+    bucketed: for each slice pair in turn, device 0's product is the
+    bucket, each later device's is added into it in ascending device order,
+    the reduce-to-root order of ``allreduce``, and the complete bucket is
+    folded into the gradient at once (``sum_components``). Every bucket is
+    the exact value of the component ``allreduce`` would give, and the fold
+    adds them in the same order, so the bits are those of reducing every
+    device's component lists. A weight gradient holds at most three
+    layer-sized buffers, the result, the bucket and one product buffer (two
+    on one device), where holding every component took seven or more. The
+    price is that every device's slices, ``LEVELS * n * (in + out)``
+    doubles, are held at once, which is less than the components saved
+    while the batch n is below ``2 * in * out / (in + out)``. The payload is
+    that of the component lists, computed from the shapes.
     """
     grads = MlpGrads([], [])
     stat_payload = grad_payload = 0
     for l in range(len(traces_per_dev[0])):
         x_max = allreduce_max([t[l][2] for t in traces_per_dev])
         g_max = allreduce_max([t[l][3] for t in traces_per_dev])
-        sums = None
-        for d in range(len(traces_per_dev)):
-            sums = _guard(lambda d: layer_grad_components(
-                *traces_per_dev[d][l][:2], x_max, g_max, n_total,
-                out=sums), d)
-        w_comps, b_comps = sums
-        grads.weights.append(dense.sum_components(w_comps))
-        grads.biases.append(dense.sum_components(b_comps))
+        gs, xs = zip(*(_guard(lambda d: layer_grad_components(
+            *traces_per_dev[d][l][:2], x_max, g_max, n_total), d)
+            for d in range(len(traces_per_dev))))
+        weight = dense.sum_components(dense.outer_sum_components(gs, xs))
+        bias = dense.sum_components(dense.col_sum_components(gs))
+        grads.weights.append(weight)
+        grads.biases.append(bias)
         stat_payload += x_max.nbytes + g_max.nbytes
-        grad_payload += sum(c.nbytes for c in w_comps + b_comps)
-        del sums, w_comps, b_comps
+        grad_payload += (len(dense.CROSS_TERMS) * weight.nbytes
+                         + dense.LEVELS * bias.nbytes)
     return grads, stat_payload, grad_payload
 
 
@@ -363,7 +381,10 @@ def _step(tables: list, replicas: list[tuple[MlpParams, MlpParams]],
     shuffle hands every device its shard of each table, each device runs
     ``_forward_backward`` on its shard, the per-sample losses are gathered,
     each MLP's gradients are reduced exactly, the embedding gradients return
-    to their owners, and every device applies its update. Devices run one at
+    to their owners, and every device applies its update. The loss, each
+    MLP layer's gradients and each table's gradient are checked as they are
+    made; a non-finite one raises ``FloatingPointError`` naming it before
+    any device updates. Devices run one at
     a time in ascending order, each one's work under ``_guard``. Timed under
     ``embedding_lookup``, ``shuffle``, ``bottom_mlp``, ``interaction``,
     ``top_mlp`` (each MLP's reduction under its own section), ``loss`` and
@@ -407,14 +428,19 @@ def _step(tables: list, replicas: list[tuple[MlpParams, MlpParams]],
                  sum(r.per_sample_loss.nbytes + r.probs.nbytes
                      for d, r in enumerate(shards) if d != 0),
                  plan.num_devices)
+        _require_finite(loss, "loss")
 
-    # phase 4b: exact gradient allreduce, layer by layer, each device
-    # adding into one running sum in device order
+    # phase 4b: exact gradient allreduce, layer by layer, one bucket at a
+    # time over the devices in device order
     grads = {}
     for which in ("bottom", "top"):
         with timer.section(f"{which}_mlp"):
             grads[which], stat_payload, grad_payload = _reduce_mlp_grads(
                 [getattr(r, f"{which}_traces") for r in shards], n_total)
+            for l, (w, b) in enumerate(zip(grads[which].weights,
+                                           grads[which].biases)):
+                _require_finite(w, f"{which} MLP layer {l} weight gradient")
+                _require_finite(b, f"{which} MLP layer {l} bias gradient")
             for name, payload in (("stat_allreduce", stat_payload),
                                   ("grad_allreduce", grad_payload)):
                 comm.add(step_idx, name,
@@ -427,16 +453,21 @@ def _step(tables: list, replicas: list[tuple[MlpParams, MlpParams]],
             [dict(enumerate(r.emb_grads)) for r in shards], plan, comm,
             step_idx)
     with timer.section("embedding_lookup"):
-        table_grads = [_guard(lambda d: [
-            (tables[t], lookup_backward(tables[t], batches[t],
-                                        full_emb_grads[t]))
-            for t in owned[d]], d) for d in devices]
+        table_grads = {}
+        for d in devices:
+            table_grads.update(_guard(lambda d: {
+                t: lookup_backward(tables[t], batches[t], full_emb_grads[t])
+                for t in owned[d]}, d))
+        for t, g in table_grads.items():
+            _require_finite(g.values, f"device {plan.table_assignment[t]}: "
+                                      f"table {t} gradient")
 
     # phase 6: synchronous update (replicas get identical dense grads)
     with timer.section("optimizer"):
         for d in devices:
             _guard(lambda d: _update(optimizers[d], *replicas[d], grads,
-                                     table_grads[d]), d)
+                                     [(tables[t], table_grads[t])
+                                      for t in owned[d]]), d)
     return StepResult(loss, acc, probs)
 
 

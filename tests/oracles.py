@@ -201,17 +201,28 @@ class TraceGeneratorRef:
         return a
 
 
+def layer_components_ref(x, gz, x_max, g_max, n_total):
+    """One shard's exact reduction components of one layer, all held at
+    once: the CROSS_TERMS slice products of ``gz`` and ``x``, and the
+    column sums of each ``gz`` slice."""
+    from dlrmkit import dense
+
+    gs = dense.grid_components(gz, g_max, n_total)
+    xs = dense.grid_components(x, x_max, n_total)
+    return ([gs[p - 1].T @ xs[q - 1] for p, q in dense.CROSS_TERMS],
+            [g.sum(axis=0) for g in gs])
+
+
 def reduce_mlp_grads_ref(traces_per_dev, n_total):
     """The MLP gradient reduction that holds every device's components.
 
     Per layer: max-allreduce of the local column abs-maxima, every device's
-    ``layer_grad_components``, one ``parallel.allreduce`` per component over
+    ``layer_components_ref``, one ``parallel.allreduce`` per component over
     the per-device list (a lone device's used as is), and one
     ``dense.sum_components`` rounding. Returns (weight grads, bias grads,
     stat payload bytes, grad payload bytes).
     """
     from dlrmkit import dense
-    from dlrmkit.model import layer_grad_components
     from dlrmkit.parallel import allreduce, allreduce_max
 
     def combine(collective, per_replica):
@@ -223,7 +234,7 @@ def reduce_mlp_grads_ref(traces_per_dev, n_total):
     for l in range(len(traces_per_dev[0])):
         x_max = combine(allreduce_max, [t[l][2] for t in traces_per_dev])
         g_max = combine(allreduce_max, [t[l][3] for t in traces_per_dev])
-        comps = [layer_grad_components(*t[l][:2], x_max, g_max, n_total)
+        comps = [layer_components_ref(*t[l][:2], x_max, g_max, n_total)
                  for t in traces_per_dev]
         w_comps = [combine(allreduce, [c[0][i] for c in comps])
                    for i in range(len(dense.CROSS_TERMS))]

@@ -500,6 +500,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert "--eval-interval" in err and "--val-batches" in err
 
+    def test_non_finite_step_exits_1(self, capsys):
+        # the first update at this rate overflows the weights, so the second
+        # step's loss is not finite, and no update applies it
+        with np.errstate(all="ignore"):
+            code = main(tiny_args(["--num-batches=6", "--learning-rate=1e300",
+                                   "--emit=json"]))
+        assert code == 1
+        assert ("error: iteration 1: loss is not finite"
+                in capsys.readouterr().err)
+
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["--no-such-flag"]) == 2
         assert "error" in capsys.readouterr().err

@@ -222,14 +222,22 @@ class TestRngStream:
         assert not np.array_equal(s.uniform(2, 2), s.uniform(2, 2))
 
 
-def _outer(gy, x, gmax, xmax, n_total):
-    return dense.outer_sum_components(
-        dense.grid_components(gy, gmax, n_total),
-        dense.grid_components(x, xmax, n_total))
+def _slices(a, amax, n_total, bounds):
+    return [dense.grid_components(a[lo:hi], amax, n_total)
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _col(gy, gmax, n_total):
-    return dense.col_sum_components(dense.grid_components(gy, gmax, n_total))
+def _outer(gy, x, gmax, xmax, n_total, bounds=None):
+    """The weight buckets over the shards cut at ``bounds`` (one shard by
+    default), copied, since the generator reuses its buffer."""
+    bounds = bounds or [0, gy.shape[0]]
+    return [c.copy() for c in dense.outer_sum_components(
+        _slices(gy, gmax, n_total, bounds), _slices(x, xmax, n_total, bounds))]
+
+
+def _col(gy, gmax, n_total, bounds=None):
+    bounds = bounds or [0, gy.shape[0]]
+    return list(dense.col_sum_components(_slices(gy, gmax, n_total, bounds)))
 
 
 class TestPartitionInvariantReduction:
@@ -265,19 +273,17 @@ class TestPartitionInvariantReduction:
                 cut = sorted(rng.choice(np.arange(1, b), size=ndev - 1,
                                         replace=False).tolist())
                 bounds = [0] + cut + [b]
-                parts = None
-                partsb = None
-                for lo, hi in zip(bounds, bounds[1:]):
-                    pc = _outer(gy[lo:hi], x[lo:hi], gmax, xmax, b)
-                    pb = _col(gy[lo:hi], gmax, b)
-                    parts = pc if parts is None else [
-                        s + t for s, t in zip(parts, pc)]
-                    partsb = pb if partsb is None else [
-                        s + t for s, t in zip(partsb, pb)]
+                parts = _outer(gy, x, gmax, xmax, b, bounds)
+                partsb = _col(gy, gmax, b, bounds)
                 assert all(np.array_equal(f, p)
-                           for f, p in zip(full, parts))
+                           for f, p in zip(full, parts, strict=True))
                 assert all(np.array_equal(f, p)
-                           for f, p in zip(fullb, partsb))
+                           for f, p in zip(fullb, partsb, strict=True))
+                # folding each bucket as it is drawn, in its reused buffer,
+                # gives the fold of the held buckets
+                folded = dense.sum_components(dense.outer_sum_components(
+                    _slices(gy, gmax, b, bounds), _slices(x, xmax, b, bounds)))
+                assert np.array_equal(folded, dense.sum_components(parts))
 
     def test_accuracy_against_exact_sum(self):
         rng = np.random.default_rng(21)

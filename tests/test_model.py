@@ -122,10 +122,11 @@ class TestMlpBackward:
 
     @staticmethod
     def _layer_grads(x, gz):
-        w_comps, b_comps = layer_grad_components(
+        gs, xs = layer_grad_components(
             x, gz, np.abs(x).max(axis=0), np.abs(gz).max(axis=0),
             x.shape[0])
-        return dense.sum_components(w_comps), dense.sum_components(b_comps)
+        return (dense.sum_components(dense.outer_sum_components([gs], [xs])),
+                dense.sum_components(dense.col_sum_components([gs])))
 
     def test_nan_gradient_column_propagates(self):
         rng = np.random.default_rng(7)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dlrmkit import parallel
-from dlrmkit.dense import RngStream
+from dlrmkit.dense import LEVELS, RngStream
 from dlrmkit.embedding import SparseBatch, lookup_batch, offsets_from_lengths
 from dlrmkit.model import DlrmConfig, init_model
 from dlrmkit.optim import make_optimizer
@@ -362,9 +362,10 @@ def _bits(arrays):
 
 
 class TestStreamedReduction:
-    """``_reduce_mlp_grads`` adds each device's components into one running
-    sum; it must give the bits and payload bytes of the reduction that
-    builds every device's components first (``reduce_mlp_grads_ref``)."""
+    """``_reduce_mlp_grads`` reduces one component (bucket) at a time over
+    the devices and folds it into the gradient at once; it must give the
+    bits and payload bytes of the reduction that builds every device's
+    components first (``reduce_mlp_grads_ref``)."""
 
     @pytest.mark.parametrize("batch", [5, 16])
     @pytest.mark.parametrize("ndev", [1, 2, 3, 4, 7])
@@ -390,12 +391,16 @@ class TestStreamedReduction:
             assert _bits(grads.biases) == _bits(want_b)
             assert (stat, grad) == (want_stat, want_grad)
 
-    def test_peak_memory_holds_one_device_at_a_time(self):
-        # One 256 -> 256 layer over 256 samples. The streamed reduction on
-        # 4 devices may hold one product buffer more than on 1 device; the
-        # slack covers the vectors (column maxima, bias components).
-        n, width = 256, 256
+    def test_peak_memory_holds_one_bucket_at_a_time(self):
+        # One 256 -> 256 layer over 128 samples, below the crossover
+        # n < 2 * in * out / (in + out) = 256 under which the slices of
+        # every device cost less than the components they replace. One
+        # device holds its slices, the gradient and one bucket; 4 devices
+        # add one product buffer. The slack covers the vectors (column
+        # maxima, bias buckets).
+        n, width = 128, 256
         buffer = width * width * 8
+        slices = LEVELS * n * (width + width) * 8
         slack = 64 * 1024
         rng = np.random.default_rng(0)
         x = rng.standard_normal((n, width))
@@ -418,16 +423,18 @@ class TestStreamedReduction:
             finally:
                 tracemalloc.stop()
 
-        def streamed(ndev):
+        def bucketed(ndev):
             t = traces(ndev)
             return peak(lambda: parallel._reduce_mlp_grads(t, n))
 
-        one, four = streamed(1), streamed(4)
-        assert one >= 6 * buffer        # numpy allocations are traced
+        one, four = bucketed(1), bucketed(4)
+        assert one >= slices + buffer       # numpy allocations are traced
+        assert one <= slices + 2 * buffer + slack
         assert four <= one + buffer + slack
         # holding every device's components at once breaks the bound
         t4 = traces(4)
-        assert peak(lambda: reduce_mlp_grads_ref(t4, n)) > one + buffer + slack
+        assert (peak(lambda: reduce_mlp_grads_ref(t4, n))
+                > slices + 2 * buffer + slack)
 
 
 def _fail_third_gradient_contribution(monkeypatch):
@@ -510,6 +517,46 @@ class TestErrors:
                 step(dense, batches, labels)
         assert all(np.array_equal(a, b) for a, b in zip(
             model_arrays(model), model_arrays(init_model(cfg)), strict=True))
+
+    @pytest.mark.parametrize("ndev", [1, 3])
+    @pytest.mark.parametrize("poisoned", ["layer", "table"])
+    def test_non_finite_gradient_stops_the_step(self, monkeypatch, ndev,
+                                                poisoned):
+        # toy_config's top MLP is 9 -> 10 -> 4 -> 1, so only its layer 1
+        # has 4 outputs; table 1 lives on device 2 of 3
+        cfg = toy_config(seed=54)
+        batch = gen_batches(cfg, 6, 1, seed=65)[0]
+        model, step = self._stepper(cfg, 6, ndev)
+        if poisoned == "layer":
+            real = parallel.layer_grad_components
+
+            def nan_in_top_layer_1(x, gz, *args):
+                if gz.shape[1] == 4:
+                    gz = gz.copy()
+                    gz[0, 0] = np.nan
+                return real(x, gz, *args)
+
+            monkeypatch.setattr(parallel, "layer_grad_components",
+                                nan_in_top_layer_1)
+            message = "^top MLP layer 1 weight gradient is not finite$"
+        else:
+            real = parallel.lookup_backward
+
+            def nan_in_table_1(table, sparse, grad):
+                g = real(table, sparse, grad)
+                if table is model.tables[1]:
+                    g.values[0, 0] = np.nan
+                return g
+
+            monkeypatch.setattr(parallel, "lookup_backward", nan_in_table_1)
+            owner = make_plan(cfg, 6, ndev).table_assignment[1]
+            message = f"^device {owner}: table 1 gradient is not finite$"
+        with pytest.raises(FloatingPointError, match=message):
+            step(*batch)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            model_arrays(model), model_arrays(init_model(cfg)), strict=True))
+        if ndev > 1:    # the other replicas too
+            assert step.__self__.max_replica_divergence() == 0.0
 
     def test_device_context_on_failure(self):
         cfg = toy_config(seed=49)
