@@ -224,6 +224,10 @@ def _validate(config: DlrmConfig, options: RunOptions) -> None:
     if options.data_generation == "criteo":
         if options.criteo_path is None:
             raise CliError("--data-generation=criteo requires --criteo-path")
+        if options.val_batches > 0 and not options.criteo_val_path:
+            # validation would otherwise read the training file
+            raise CliError("--val-batches in criteo mode needs "
+                           "--criteo-val-path")
         if config.num_tables != 26 or config.dense_dim != 13:
             raise CliError(
                 "criteo data needs 26 embedding tables and a 13-wide dense "
@@ -657,23 +661,24 @@ def main(argv=None) -> int:
     runner = run_training if options.mode == "train" else run_benchmark
     try:
         report, metric_lines = runner(config, options)
+        for line in metric_lines:
+            print(line)
+        rendered = format_report(report, options.emit)
+        print(rendered)
+        if report.comm_report:
+            print(report.comm_report, end="")
+        if options.metrics_file:
+            with open(options.metrics_file, "w", encoding="utf-8") as f:
+                f.write("\n".join(metric_lines)
+                        + ("\n" if metric_lines else ""))
+        if options.report_file:
+            with open(options.report_file, "w", encoding="utf-8") as f:
+                f.write(rendered + "\n")
+                if report.comm_report:
+                    f.write(report.comm_report)
     except (CliError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    for line in metric_lines:
-        print(line)
-    rendered = format_report(report, options.emit)
-    print(rendered)
-    if report.comm_report:
-        print(report.comm_report, end="")
-    if options.metrics_file:
-        with open(options.metrics_file, "w", encoding="utf-8") as f:
-            f.write("\n".join(metric_lines) + ("\n" if metric_lines else ""))
-    if options.report_file:
-        with open(options.report_file, "w", encoding="utf-8") as f:
-            f.write(rendered + "\n")
-            if report.comm_report:
-                f.write(report.comm_report)
     return 0
 
 

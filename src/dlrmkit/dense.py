@@ -14,7 +14,8 @@ the package:
   tiles of 16 or more rows when ``b`` has an odd width N > 192 that is not
   a multiple of 8, so such a ``b`` is zero-padded to a multiple of 8
   columns and the result sliced back to N. The tile height is picked once
-  per process by a self-check on first use, which runs the padded product;
+  per process by a self-check on first use, which runs the padded product
+  on repeated copies of a row and requires every copy to get the same bits;
   see ``matmul_tile_rows``.
 
 * ``grid_components`` splits each operand of a cross-sample reduction once
@@ -75,9 +76,8 @@ def _as_matrix(a, name: str) -> Matrix:
 # products
 
 # Tile heights tried by the self-check, tallest (fastest) first; 1, the
-# per-row product, is the fallback when none passes. 128 is left out: its
-# self-check takes about 8 s against 3 s at 64, and the 64-row shards of a
-# 256 batch on 4 devices would run padded to 128 rows.
+# per-row product, is the fallback when none passes. 128 is left out: the
+# 64-row shards of a 256 batch on 4 devices would run padded to 128 rows.
 TILE_CANDIDATES = (64, 32, 16, 8, 4, 2)
 # OpenBLAS's AVX-512 kernels make a row's bits depend on its position in
 # tiles of 16 or more rows when N > 192 is not a multiple of 8: the fringe
@@ -139,9 +139,8 @@ def matmul_tile_rows() -> int:
 
     Computed on first use as the tallest of TILE_CANDIDATES whose tiled
     product passes the row-position self-check, else 1 (one call per row).
-    The check costs more at taller tiles: on one core of a shared 2-vCPU
-    AVX-512 host, 2.9 s when it settles on 64 rows (1.2 s at 32, 0.3 s at
-    8), paid once per process.
+    On one core of a shared 2-vCPU AVX-512 host the check takes about 0.4 s,
+    paid once per process.
     """
     return _choose_tile_rows(_tiled_matmul)
 
@@ -157,22 +156,22 @@ def _choose_tile_rows(product) -> int:
 
 
 def _rows_position_invariant(product, tile: int) -> bool:
-    # Row r of the 2*tile probe rows sits at position r % tile in the full
-    # product and at r - o in the window starting at o, so comparing every
-    # window offset 1..tile-1 compares each row across every position.
+    # A GEMM output row depends only on its own input row and b, so the
+    # 2*tile-1 copies of one row, one whole tile and the zero-padded tail
+    # tile of a single call, must all come out with the same bits.
     rng = np.random.default_rng(0)
     for k in _PROBE_K:
-        # Magnitudes spanning ~24 decades make any change in the summation
-        # order show in the bits.
-        a = rng.standard_normal((2 * tile, k)) * np.exp2(
-            rng.integers(-40, 41, size=(2 * tile, k)))
+        # Four distinct rows; magnitudes spanning ~24 decades make any
+        # change in the summation order show in the bits.
+        rows = rng.standard_normal((4, k)) * np.exp2(
+            rng.integers(-40, 41, size=(4, k)))
         for n in _PROBE_N:
             b = rng.standard_normal((k, n))
             for b_ordered in (b, np.asfortranarray(b)):
-                full = product(a, b_ordered, tile)
-                for o in range(1, tile):
-                    window = product(a[o:o + tile], b_ordered, tile)
-                    if not np.array_equal(window, full[o:o + tile]):
+                for row in rows:
+                    out = product(np.tile(row, (2 * tile - 1, 1)), b_ordered,
+                                  tile)
+                    if (out != out[0]).any():
                         return False
     return True
 

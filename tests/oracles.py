@@ -36,6 +36,29 @@ def matmul_ref(a, b):
     return out
 
 
+def rows_position_invariant_ref(product, tile):
+    """The window sweep: over the probe shapes of ``dense``, run every
+    window of ``tile`` consecutive rows out of ``2 * tile`` distinct rows
+    and require it to match those rows of the full product. Row r sits at
+    position r % tile in the full product and at r - o in the window
+    starting at o, so every row is compared across every position."""
+    from dlrmkit import dense
+
+    rng = np.random.default_rng(0)
+    for k in dense._PROBE_K:
+        a = rng.standard_normal((2 * tile, k)) * np.exp2(
+            rng.integers(-40, 41, size=(2 * tile, k)))
+        for n in dense._PROBE_N:
+            b = rng.standard_normal((k, n))
+            for b_ordered in (b, np.asfortranarray(b)):
+                full = product(a, b_ordered, tile)
+                for o in range(1, tile):
+                    window = product(a[o:o + tile], b_ordered, tile)
+                    if not np.array_equal(window, full[o:o + tile]):
+                        return False
+    return True
+
+
 def grad_rel_err(analytic, fd, floor=1e-4, abs_tol=1e-9):
     """Scale-aware gradient comparison.
 

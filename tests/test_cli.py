@@ -96,6 +96,17 @@ class TestParse:
             parse_args(["--data-generation=criteo", "--criteo-path=x",
                         "--arch-embedding-size=10-10"])
 
+    def test_criteo_val_batches_need_val_path(self, capsys):
+        # without it, validation would read the first batches of the
+        # training file
+        sizes = "-".join(["40"] * 26)
+        assert main([f"--arch-embedding-size={sizes}",
+                     "--arch-sparse-feature-size=4", "--arch-mlp-bot=13-4",
+                     "--arch-mlp-top=6-1", "--data-generation=criteo",
+                     "--criteo-path=day.txt", "--val-batches=2"]) == 2
+        err = capsys.readouterr().err
+        assert "--val-batches" in err and "--criteo-val-path" in err
+
     @pytest.mark.parametrize("bad", [
         "--learning-rate=nan", "--learning-rate=inf",
         "--first-touch-boost=-1", "--eval-interval=-2", "--val-batches=-3",
@@ -592,6 +603,13 @@ class TestMain:
                                    f"--synthetic-profiles={profiles}"]))
             assert code == 1
             assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("flag", ["--metrics-file", "--report-file"])
+    def test_unwritable_output_file_exits_1(self, tmp_path, capsys, flag):
+        path = tmp_path / "no" / "dir" / "out.txt"
+        assert main(tiny_args(["--num-batches=1", f"{flag}={path}"])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
 
     def test_report_and_metric_files(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.jsonl"

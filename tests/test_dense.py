@@ -13,7 +13,18 @@ from dlrmkit.dense import (
 )
 from dlrmkit.model import interaction_width
 
-from oracles import central_difference, exact_batch_outer, matmul_ref
+from oracles import (
+    central_difference,
+    exact_batch_outer,
+    matmul_ref,
+    rows_position_invariant_ref,
+)
+
+
+def tile_rows_ref(product):
+    # dense._choose_tile_rows with the window sweep as its check
+    return next((tile for tile in dense.TILE_CANDIDATES
+                 if rows_position_invariant_ref(product, tile)), 1)
 
 
 class TestMatmul:
@@ -97,10 +108,26 @@ class TestMatmul:
                 return out
             return product
 
-        assert dense._choose_tile_rows(per_row) == dense.TILE_CANDIDATES[0]
-        assert dense._choose_tile_rows(skewed_from(64)) == 32
-        assert dense._choose_tile_rows(skewed_from(16)) == 8
-        assert dense._choose_tile_rows(skewed_from(2)) == 1
+        for choose in (dense._choose_tile_rows, tile_rows_ref):
+            assert choose(per_row) == 64
+            assert choose(skewed_from(64)) == 32
+            assert choose(skewed_from(16)) == 8
+            assert choose(skewed_from(2)) == 1
+
+    def test_tile_self_check_agrees_with_window_sweep(self):
+        def unpadded(a, b, tile):
+            # the tiled product without its column padding, where OpenBLAS's
+            # AVX-512 kernels make rows depend on their position in tiles
+            # of 16 or more rows (8 rows pass there)
+            rows = np.zeros((-(-a.shape[0] // tile) * tile, a.shape[1]))
+            rows[:a.shape[0]] = a
+            return np.concatenate([rows[i:i + tile] @ b for i in
+                                   range(0, len(rows), tile)])[:a.shape[0]]
+
+        assert (dense._choose_tile_rows(unpadded)
+                == tile_rows_ref(unpadded))
+        assert rows_position_invariant_ref(dense._tiled_matmul,
+                                           dense.matmul_tile_rows())
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_criteo_width_row_shards(self, order):
