@@ -211,6 +211,12 @@ def _validate(config: DlrmConfig, options: RunOptions) -> None:
     if options.eval_interval and not has_validation:
         raise CliError("--eval-interval needs validation data: set "
                        "--val-batches (or --criteo-val-path in criteo mode)")
+    for flag, path in (("--metrics-file", options.metrics_file),
+                       ("--report-file", options.report_file),
+                       ("--save-checkpoint", options.save_checkpoint)):
+        # written only after the run, so a missing directory fails now
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise CliError(f"{flag}: directory of {path} does not exist")
     if options.data_generation in ("random", "synthetic"):
         k = options.num_indices_per_lookup
         if k < 1:

@@ -10,9 +10,9 @@ the package:
   mini-batch or any row-slice of it, provided a row's bits do not depend on
   its position inside the tile. (A plain whole-matrix GEMM does not have
   this property: its kernels sum in different orders for different matrix
-  heights.) OpenBLAS's AVX-512 kernels make a row depend on its position in
-  tiles of 16 or more rows when ``b`` has an odd width N > 192 that is not
-  a multiple of 8, so such a ``b`` is zero-padded to a multiple of 8
+  heights.) OpenBLAS's AVX-512 kernels can make a row depend on its
+  position in tiles of 16 or more rows when ``b``'s width N is not a
+  multiple of 8, so every such ``b`` is zero-padded to a multiple of 8
   columns and the result sliced back to N. The tile height is picked once
   per process by a self-check on first use, which runs the padded product
   on repeated copies of a row and requires every copy to get the same bits;
@@ -79,13 +79,9 @@ def _as_matrix(a, name: str) -> Matrix:
 # per-row product, is the fallback when none passes. 128 is left out: the
 # 64-row shards of a 256 batch on 4 devices would run padded to 128 rows.
 TILE_CANDIDATES = (64, 32, 16, 8, 4, 2)
-# OpenBLAS's AVX-512 kernels make a row's bits depend on its position in
-# tiles of 16 or more rows when N > 192 is not a multiple of 8: the fringe
-# columns take another kernel path. Such a b is zero-padded to a multiple
-# of 8 columns inside the tiled product, which the self-check runs as is.
-_PAD_WIDER_THAN = 192
-# Probe shapes. The N list includes odd widths above _PAD_WIDER_THAN, which
-# the padding must make position-invariant. The K list reaches the depths
+# Probe shapes, run through the tiled product as is. The N list includes
+# widths that are not multiples of 8, whose fringe columns would take
+# another kernel path without the padding. The K list reaches the depths
 # of production products (256 to 1024), with one depth that is not a
 # multiple of 8. Largest shapes come first so that a failing tile height is
 # rejected after few calls.
@@ -98,8 +94,8 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
     Each tile of ``matmul_tile_rows()`` rows of ``a`` is one GEMM call; the
     rows past the last whole tile are copied into one zero-padded tile. A
-    ``b`` wider than 192 columns whose width N is not a multiple of 8 gets
-    zero columns up to the next multiple, and the result keeps the first N.
+    ``b`` whose width N is not a multiple of 8 gets zero columns up to the
+    next multiple, and the result keeps the first N.
     result[i] depends only on a[i] and b, so row-slicing ``a`` never changes
     the bits of the surviving rows. Raises ShapeError on an inner-dimension
     mismatch.
@@ -116,7 +112,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def _tiled_matmul(a: Matrix, b: Matrix, tile: int) -> Matrix:
     m, n = a.shape[0], b.shape[1]
-    if n > _PAD_WIDER_THAN and n % 8:
+    if n % 8:
         # every output column then lies in a whole 8-column block, so none
         # takes the fringe kernel path
         wide = np.zeros((b.shape[0], -(-n // 8) * 8), dtype=np.float64)
@@ -298,8 +294,10 @@ def grid_components(a: Matrix, col_max: np.ndarray, n_total: int):
     """
     a = np.asarray(a, dtype=np.float64)
     bits = reduction_bits(n_total)
-    # col_max <= 2^e
-    e = np.frexp(np.asarray(col_max, dtype=np.float64))[1]
+    # col_max <= 2^e; the floor keeps the grid of every kept slice product
+    # (p + q <= 4) at or above 2^-1074, so BLAS never rounds one away
+    e = np.maximum(np.frexp(np.asarray(col_max, dtype=np.float64))[1],
+                   2 * bits - 537)
     comps = []
     rem = a
     for p in range(1, LEVELS + 1):

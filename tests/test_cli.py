@@ -2,6 +2,9 @@ import copy
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -604,12 +607,23 @@ class TestMain:
             assert code == 1
             assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
-    @pytest.mark.parametrize("flag", ["--metrics-file", "--report-file"])
+    @pytest.mark.parametrize("flag", ["--metrics-file", "--report-file",
+                                      "--save-checkpoint"])
     def test_unwritable_output_file_exits_1(self, tmp_path, capsys, flag):
-        path = tmp_path / "no" / "dir" / "out.txt"
-        assert main(tiny_args(["--num-batches=1", f"{flag}={path}"])) == 1
+        # a path that is an existing directory fails only when written
+        assert main(tiny_args(["--num-batches=1", f"{flag}={tmp_path}"])) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(path) in err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("flag", ["--metrics-file", "--report-file",
+                                      "--save-checkpoint"])
+    def test_output_file_in_missing_directory_exits_2(self, tmp_path, capsys,
+                                                      flag):
+        path = tmp_path / "no" / "dir" / "out.txt"
+        assert main(tiny_args([f"{flag}={path}"])) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # no batch ran
+        assert err == f"error: {flag}: directory of {path} does not exist\n"
 
     def test_report_and_metric_files(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.jsonl"
@@ -621,3 +635,39 @@ class TestMain:
         assert code == 0
         assert len(metrics.read_text().strip().split("\n")) == 2
         assert "operator" in report.read_text()
+
+
+@pytest.fixture(scope="class")
+def runs_by_blas_threads(tmp_path_factory):
+    """{threads: (tile height, metric-log bytes)} of one small run per BLAS
+    thread count. The top MLP's input is 64 + 8 * 9 / 2 = 100 wide and its
+    first layer 257, so the backward runs the (64 x 257) . (257 x 100)
+    product, whose rows depend on their position in 64-row tiles at two
+    OpenBLAS threads unless its width is padded to a multiple of 8."""
+    src = str(Path(cli.__file__).parents[1])
+    runs = {}
+    for threads in (1, 2):
+        metrics = tmp_path_factory.mktemp("threads") / "metrics.jsonl"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([
+            sys.executable, "-m", "dlrmkit.cli",
+            "--arch-embedding-size=" + "-".join(["50"] * 8),
+            "--arch-sparse-feature-size=64", "--arch-mlp-bot=13-64",
+            "--arch-mlp-top=257-1", "--mini-batch-size=64",
+            "--num-batches=3", "--optimizer=adagrad", "--emit=json",
+            f"--metrics-file={metrics}"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().split("\n")[-1])
+        runs[threads] = report["matmul_tile_rows"], metrics.read_bytes()
+    return runs
+
+
+class TestBlasThreadCount:
+    def test_same_tile_height(self, runs_by_blas_threads):
+        assert runs_by_blas_threads[1][0] == runs_by_blas_threads[2][0]
+
+    def test_byte_identical_metric_logs(self, runs_by_blas_threads):
+        assert runs_by_blas_threads[1][1] == runs_by_blas_threads[2][1]

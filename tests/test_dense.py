@@ -69,9 +69,10 @@ class TestMatmul:
             assert np.abs(left - right).max() < 1e-9
 
     def test_row_shard_stability(self):
-        # rows of a sliced operand match the full product bit for bit; odd
-        # widths above 192 are where tall BLAS tiles make rows depend on
-        # their position in the tile, and an F-ordered b is what weight.T is
+        # rows of a sliced operand match the full product bit for bit;
+        # widths that are not multiples of 8 are where tall BLAS tiles can
+        # make rows depend on their position in the tile, and an F-ordered
+        # b is what weight.T is
         rng = np.random.default_rng(2)
         for m, k, n, order in [(9, 4, 3, "C"), (8, 13, 7, "C"),
                                (5, 64, 64, "C"), (16, 100, 24, "C"),
@@ -94,8 +95,20 @@ class TestMatmul:
             assert np.array_equal(matmul(a[lo:hi], weight.T), full[lo:hi])
 
     def test_tile_self_check_rejects_position_dependent_rows(self):
+        memo = [None, {}]  # the last b, and its products keyed by row bytes
+
         def per_row(a, b, tile):
-            return np.stack([row @ b for row in a])
+            # each distinct row is multiplied by b once; holding b keeps a
+            # later operand from matching it by identity
+            if memo[0] is not b:
+                memo[:] = [b, {}]
+            products, out = memo[1], []
+            for row in a:
+                key = row.tobytes()
+                if key not in products:
+                    products[key] = row @ b
+                out.append(products[key])
+            return np.array(out)
 
         def skewed_from(min_tile):
             # a product whose rows pick up their position in tiles of
@@ -131,11 +144,11 @@ class TestMatmul:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_criteo_width_row_shards(self, order):
-        # 26 tables at d=16 make the top MLP's input 367 wide, an odd width
-        # above 192 that matmul pads; its backward product has N = 367
+        # 26 tables at d=16 make the top MLP's input 367 wide, a width that
+        # matmul pads; its backward product has N = 367
         width = interaction_width(16, 27)
         assert width == 367
-        assert width > dense._PAD_WIDER_THAN and width % 8
+        assert width % 8
         rng = np.random.default_rng(5)
         a = rng.standard_normal((256, 512)) * np.exp(
             rng.standard_normal((256, 1)) * 4)
@@ -144,7 +157,7 @@ class TestMatmul:
         for lo, hi in [(0, 86), (86, 171), (171, 256)]:
             assert np.array_equal(matmul(a[lo:hi], b), full[lo:hi])
 
-    @pytest.mark.parametrize("n", [193, 200, 257, 367, 1023])
+    @pytest.mark.parametrize("n", [1, 7, 13, 100, 193, 200, 257, 367, 1023])
     def test_padded_columns_do_not_reach_the_result(self, n):
         rng = np.random.default_rng(n)
         a = rng.standard_normal((70, 33))
@@ -335,6 +348,32 @@ class TestPartitionInvariantReduction:
             gy, np.abs(gy).max(axis=0), 57))
         exact = np.array([math.fsum(gy[:, j]) for j in range(5)])
         assert np.allclose(got, exact, rtol=1e-12, atol=0.0)
+
+    def test_partition_invariance_at_tiny_scales(self):
+        # columns far below 1e-150, where grids anchored at the column's
+        # abs-max alone would put slice products below 2^-1074 and BLAS
+        # would round them against the running sum, so the bits would
+        # depend on the split; rows spread over 2^-60 fill the low slices
+        rng = np.random.default_rng(23)
+        b = 256
+        for trial in range(40):
+            g_scale, x_scale = [(1e-155, 1e-160), (1e-160, 1e-155),
+                                (1e-155, 1e-155)][trial % 3]
+            gy = rng.standard_normal((b, 4)) * g_scale
+            x = rng.standard_normal((b, 4)) * x_scale * np.exp2(
+                -rng.integers(0, 61, size=(b, 1)))
+            gmax = np.abs(gy).max(axis=0)
+            xmax = np.abs(x).max(axis=0)
+            full = dense.sum_components(_outer(gy, x, gmax, xmax, b))
+            fullb = dense.sum_components(_col(gy, gmax, b))
+            for ndev in (2, 3):
+                cut = sorted(rng.choice(np.arange(1, b), size=ndev - 1,
+                                        replace=False).tolist())
+                bounds = [0] + cut + [b]
+                assert np.array_equal(dense.sum_components(
+                    _outer(gy, x, gmax, xmax, b, bounds)), full)
+                assert np.array_equal(dense.sum_components(
+                    _col(gy, gmax, b, bounds)), fullb)
 
     def test_reduction_bits_bound(self):
         for n in (1, 2, 9, 256, 2048):
