@@ -214,9 +214,19 @@ def _validate(config: DlrmConfig, options: RunOptions) -> None:
     for flag, path in (("--metrics-file", options.metrics_file),
                        ("--report-file", options.report_file),
                        ("--save-checkpoint", options.save_checkpoint)):
-        # written only after the run, so a missing directory fails now
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+        # written only after the run, so a path that cannot take the file
+        # fails now
+        if not path:
+            continue
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise CliError(f"{flag}: directory of {path} does not exist")
+        if os.path.isdir(path):
+            raise CliError(f"{flag}: {path} is a directory")
+    # the checkpoint is renamed over its path, which would replace a device
+    # node or a FIFO there rather than write to it
+    path = options.save_checkpoint
+    if path and os.path.exists(path) and not os.path.isfile(path):
+        raise CliError(f"--save-checkpoint: {path} is not a regular file")
     if options.data_generation in ("random", "synthetic"):
         k = options.num_indices_per_lookup
         if k < 1:
@@ -338,7 +348,7 @@ class _SyntheticSource(_RandomSource):
                 # the cap bounds bootstrap memory and time on long runs
                 boot_len = min(max(planned, 4 * m, 64), 100000)
                 boot = self.stream.integers(0, m, size=boot_len)
-                profile = profile_trace(boot.tolist())
+                profile = profile_trace(boot)
             adjusted = adjust_distribution(profile, default_first_touch_floor(
                 profile, planned, options.first_touch_boost))
             self.generators.append(TraceGenerator(adjusted, self.stream))

@@ -6,6 +6,11 @@ Stack-distance convention: the top of the recency stack has depth 1; depth 0
 means a first touch. Profiling therefore maps a trace to the ordered list of
 unique accesses plus a distance histogram; generation replays that histogram,
 restricted (renormalized) to the distances reachable so far.
+
+Profiling runs in whole-array numpy passes: one stable argsort links each
+access to the previous access of its id, and a bottom-up merge counts the
+links nested inside each one, O(n log^2 n) work in O(log n) passes over a
+trace of n accesses.
 """
 
 from __future__ import annotations
@@ -124,45 +129,65 @@ class TraceProfile:
 
 
 def profile_trace(tr) -> TraceProfile:
-    """LRU-stack profile of an access trace, in O(n log n) time.
+    """LRU-stack profile of an access trace (a sequence or integer array).
 
     First touches record distance 0 and append to the unique list; a repeat
-    found at depth d (top = 1) records d and moves to the top. The depth of
-    an id last accessed at time p is 1 plus the number of distinct ids
-    accessed since, counted as the ids whose latest access lies after p: a
-    Fenwick tree over access times keeps one mark at each id's latest access
-    (Bennett & Kruskal 1975).
+    found at depth d (top = 1) records d and moves to the top. Call (a, b) a
+    link when b is the next access after a of the same id. The repeat ending
+    link (p, t) has depth 1 plus the number of distinct ids accessed in
+    (p, t), which is t - p less the number of links nested strictly inside
+    it (p < a and b < t).
+
+    One stable argsort of the ids finds every link. Ordered by a, the links
+    nested inside one are the later links with a smaller b, counted for all
+    links at once by a bottom-up merge of the b values: at each level every
+    left block looks its values up in its sorted right neighbour with one
+    ``np.searchsorted``. That is O(log n) whole-array passes, O(n log^2 n)
+    work and O(n) memory for n accesses, with no Python loop per access.
+    Ids outside int64 are first coded 0, 1, ... in first-touch order
+    through a dict.
     """
-    tr = [int(a) for a in tr]
-    n = len(tr)
-    tree = [0] * (n + 1)        # Fenwick tree over access times 1..n
-    latest: dict[int, int] = {}  # access id -> time of its latest access
-    uniques: list[int] = []
-    counts: dict[int, int] = {}
-    for t, a in enumerate(tr, start=1):
-        p = latest.get(a)
-        if p is None:
-            d = 0
-            uniques.append(a)
-        else:
-            marked = 0          # marks at times 1..p
-            i = p
-            while i:
-                marked += tree[i]
-                i &= i - 1
-            d = len(latest) - marked + 1
-            i = p
-            while i <= n:
-                tree[i] -= 1
-                i += i & -i
-        i = t
-        while i <= n:
-            tree[i] += 1
-            i += i & -i
-        latest[a] = t
-        counts[d] = counts.get(d, 0) + 1
-    probabilities = {d: c / n for d, c in sorted(counts.items())} if n else {}
-    return TraceProfile(uniques, probabilities)
+    if isinstance(tr, np.ndarray) and not np.can_cast(tr.dtype, np.int64):
+        tr = tr.tolist()    # as Python numbers, converted as int() would
+    code = None
+    try:
+        ids = np.asarray(tr, dtype=np.int64)
+    except OverflowError:
+        code = {}
+        ids = np.array([code.setdefault(int(a), len(code)) for a in tr],
+                       dtype=np.int64)
+    n = len(ids)
+    if not n:
+        return TraceProfile([], {})
+    order = np.argsort(ids, kind="stable")
+    same = ids[order[1:]] == ids[order[:-1]]
+    later = np.full(n, n)               # next access of the same id, or n
+    later[order[:-1][same]] = order[1:][same]
+    a = np.flatnonzero(later < n)       # repeat links (a, b), a ascending
+    b = later[a]
+    first = np.ones(n, dtype=bool)
+    first[b] = False
+    uniques = ids[first].tolist() if code is None else list(code)
+
+    # nested[b]: the later links of link (a, b) that end before b. Blocks
+    # of 2**s links hold their ends sorted; pairs of blocks merge per pass
+    nested = np.zeros(n, dtype=np.int64)
+    run, pos, s = b, np.arange(len(a)), 0
+    while (1 << s) < len(a):
+        pair = pos >> (s + 1)
+        keys = pair * n + run           # the left and the right keys ascend
+        right = ((pos >> s) & 1).astype(bool)
+        left = ~right
+        nested[run[left]] += (np.searchsorted(keys[right], keys[left])
+                              - (pair[left] << s))
+        keys.sort(kind="stable")
+        run = keys - pair * n
+        s += 1
+    counts = np.bincount(b - a - nested[b], minlength=1)
+    counts[0] = len(uniques)
+    d = np.flatnonzero(counts)
+    masses = counts[d] / n
+    return TraceProfile(uniques, dict(zip(d.tolist(), masses.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,10 @@ class EmbeddingTable:
                    table_id: int = 0) -> "EmbeddingTable":
         """Rows uniform in (-1/sqrt(d), +1/sqrt(d))."""
         bound = 1.0 / np.sqrt(dim)
-        w = (stream.uniform(num_rows, dim) * 2.0 - 1.0) * bound
+        w = stream.uniform(num_rows, dim)
+        w *= 2.0
+        w -= 1.0
+        w *= bound
         return cls(w, table_id)
 
 

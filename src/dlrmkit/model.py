@@ -116,7 +116,8 @@ def init_mlp(dims: list[int], activations: list[str], stream: RngStream) -> MlpP
     layers = []
     for l, (n_in, n_out) in enumerate(zip(dims, dims[1:])):
         std = np.sqrt(2.0 / (n_in + n_out))
-        w = stream.derive(l).normal(n_out, n_in) * std
+        w = stream.derive(l).normal(n_out, n_in)
+        w *= std
         layers.append(MlpLayer(w, np.zeros(n_out), activations[l]))
     return MlpParams(layers)
 

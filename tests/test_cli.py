@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -412,6 +413,29 @@ class TestSyntheticMode:
         with pytest.raises(CliError, match="outside"):
             run_training(config, options)
 
+    @pytest.mark.parametrize("batches, sizes, top, lengths", [
+        (1, "12-90-30000", "10-1", [64, 360, 100000]),  # floor, 4m, cap
+        (30, "12-9", "6-1", [480, 480]),                 # planned lookups
+    ])
+    def test_one_bootstrap_profile_per_table(self, monkeypatch, batches,
+                                             sizes, top, lengths):
+        # each table profiles one int64 draw of
+        # min(max(planned lookups, 4m, 64), 100000) accesses
+        traces = []
+        real = cli.profile_trace
+
+        def counting(trace):
+            traces.append(trace)
+            return real(trace)
+
+        monkeypatch.setattr(cli, "profile_trace", counting)
+        config, options = parse_args(tiny_args([
+            "--data-generation=synthetic", f"--num-batches={batches}",
+            f"--arch-embedding-size={sizes}", f"--arch-mlp-top={top}"]))
+        make_source(config, options)
+        assert [len(tr) for tr in traces] == lengths
+        assert all(tr.dtype == np.int64 for tr in traces)
+
 
     @pytest.mark.parametrize("fixed", [[], ["--num-indices-per-lookup-fixed"]])
     def test_counts_share_the_random_draw(self, fixed):
@@ -609,11 +633,38 @@ class TestMain:
 
     @pytest.mark.parametrize("flag", ["--metrics-file", "--report-file",
                                       "--save-checkpoint"])
-    def test_unwritable_output_file_exits_1(self, tmp_path, capsys, flag):
-        # a path that is an existing directory fails only when written
-        assert main(tiny_args(["--num-batches=1", f"{flag}={tmp_path}"])) == 1
+    def test_unwritable_output_file_exits_1(self, tmp_path, capsys,
+                                            monkeypatch, flag):
+        # a write that fails after the run
+        path = tmp_path / "out.txt"
+
+        def refusing_open(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(file))
+
+        monkeypatch.setattr(cli, "open", refusing_open, raising=False)
+        assert main(tiny_args(["--num-batches=1", f"{flag}={path}"])) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(tmp_path) in err
+        assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize("flag", ["--metrics-file", "--report-file",
+                                      "--save-checkpoint"])
+    def test_output_path_that_is_a_directory_exits_2(self, tmp_path, capsys,
+                                                     flag):
+        assert main(tiny_args([f"{flag}={tmp_path}"])) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # no batch ran
+        assert err == f"error: {flag}: {tmp_path} is a directory\n"
+
+    def test_checkpoint_over_a_fifo_exits_2(self, tmp_path, capsys):
+        # the rename would replace the FIFO instead of writing to it
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        assert main(tiny_args([f"--save-checkpoint={fifo}"])) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: --save-checkpoint: {fifo} is not a regular "
+                       "file\n")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
     @pytest.mark.parametrize("flag", ["--metrics-file", "--report-file",
                                       "--save-checkpoint"])

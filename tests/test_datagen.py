@@ -35,6 +35,8 @@ def assert_profile_equals_oracle(trace):
     p = profile_trace(trace)
     uniques, probabilities = profile_trace_ref(trace)
     assert p.uniques == uniques
+    # an np.int64 would print as np.int64(5) in error messages
+    assert all(type(u) is int for u in p.uniques)
     assert hex_items(p.probabilities) == hex_items(probabilities)
 
 
@@ -146,6 +148,20 @@ class TestProfileTrace:
             "20k-over-10k"])
     def test_equals_list_stack_oracle(self, trace):
         assert_profile_equals_oracle(trace)
+
+    @pytest.mark.parametrize("n, m", [(8704, 500), (3000, 40)],
+                             ids=["bootstrap-shaped", "small-universe"])
+    def test_int64_array_equals_list(self, n, m):
+        # the synthetic source's bootstrap draw, as drawn and as a list
+        draw = RngStream(26).integers(0, m, size=n)
+        assert_profile_equals_oracle(draw)
+        assert_profile_equals_oracle(draw.tolist())
+
+    def test_ids_outside_int64(self):
+        big, small = 2**63, -(2**63) - 1
+        trace = [big, 5, small, 5, big, 0, small, 2**62, big]
+        assert_profile_equals_oracle(trace)
+        assert profile_trace(trace).uniques == [big, 5, small, 0, 2**62]
 
     @given(st.one_of(
         st.lists(st.integers(min_value=0, max_value=9), max_size=300),
