@@ -298,16 +298,22 @@ def grid_components(a: Matrix, col_max: np.ndarray, n_total: int):
     # (p + q <= 4) at or above 2^-1074, so BLAS never rounds one away
     e = np.maximum(np.frexp(np.asarray(col_max, dtype=np.float64))[1],
                    2 * bits - 537)
+    # (rem + c) - c and rem - snapped, each op in place where it can be:
+    # the only operand-sized allocations are the kept slices and one
+    # remainder
     comps = []
     rem = a
     for p in range(1, LEVELS + 1):
         # round-to-nearest-even onto the grid 2^(e - p*bits) via the
         # 1.5*2^52 magic constant
         c = np.ldexp(1.5, 52) * np.ldexp(1.0, e - p * bits)
-        snapped = (rem + c) - c
+        snapped = np.add(rem, c)
+        snapped -= c
         comps.append(snapped)
-        if p < LEVELS:
-            rem = rem - snapped
+        if p == 1:
+            rem = np.subtract(a, snapped)
+        elif p < LEVELS:
+            rem -= snapped
     return comps
 
 

@@ -5,9 +5,18 @@ Adagrad accumulates the squared gradient BEFORE computing the step and uses
 theta -= lr * g / (sqrt(G) + eps). The sparse variants touch only the rows
 present in the gradient; untouched rows (weights and accumulators) keep their
 exact bits.
+
+Every update runs over blocks of about ``BLOCK_ELEMENTS`` elements (whole
+rows of the leading axis), so its temporaries are block-sized rather than
+parameter-sized. Each element still gets the one-line expression in the
+docstrings, and no element reads another, so the bits do not depend on the
+block size. The sparse updates rely on a gradient's row ids being unique, as
+a ``SparseRowGrad``'s are.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -15,6 +24,7 @@ from .embedding import EmbeddingTable, SparseRowGrad
 from .model import MlpGrads, MlpParams
 
 __all__ = [
+    "BLOCK_ELEMENTS",
     "sgd_step",
     "sgd_step_rows",
     "adagrad_step",
@@ -25,11 +35,27 @@ __all__ = [
 ]
 
 
+# Elements per update block: 64 Ki float64 values, 512 KB per temporary.
+BLOCK_ELEMENTS = 1 << 16
+
+
+def _blocks(shape: tuple[int, ...]):
+    """Index blocks of whole leading-axis rows, about BLOCK_ELEMENTS
+    elements each; one ``...`` for a 0-d array."""
+    if not shape:
+        yield ...
+        return
+    step = max(1, BLOCK_ELEMENTS // max(1, math.prod(shape[1:])))
+    for lo in range(0, shape[0], step):
+        yield slice(lo, lo + step)
+
+
 def sgd_step(param: np.ndarray, grad: np.ndarray, lr: float) -> None:
     """In-place theta -= lr * g."""
     if param.shape != grad.shape:
         raise ValueError(f"shape mismatch: {param.shape} vs {grad.shape}")
-    param -= lr * grad
+    for b in _blocks(param.shape):
+        param[b] -= lr * grad[b]
 
 
 def _check_row_grad(weights: np.ndarray, grad: SparseRowGrad) -> None:
@@ -44,9 +70,8 @@ def _check_row_grad(weights: np.ndarray, grad: SparseRowGrad) -> None:
 
 def sgd_step_rows(weights: np.ndarray, grad: SparseRowGrad, lr: float) -> None:
     _check_row_grad(weights, grad)
-    if grad.rows.size == 0:
-        return
-    weights[grad.rows] -= lr * grad.values
+    for b in _blocks(grad.values.shape):
+        weights[grad.rows[b]] -= lr * grad.values[b]
 
 
 def adagrad_step(param: np.ndarray, grad: np.ndarray, accum: np.ndarray,
@@ -59,8 +84,10 @@ def adagrad_step(param: np.ndarray, grad: np.ndarray, accum: np.ndarray,
             f"shape mismatch: param {param.shape}, grad {grad.shape}, "
             f"accum {accum.shape}"
         )
-    accum += grad * grad
-    param -= lr * grad / (np.sqrt(accum) + eps)
+    for b in _blocks(param.shape):
+        g, a = grad[b], accum[b]
+        a += g * g
+        param[b] -= lr * g / (np.sqrt(a) + eps)
 
 
 def adagrad_step_rows(weights: np.ndarray, grad: SparseRowGrad,
@@ -68,11 +95,10 @@ def adagrad_step_rows(weights: np.ndarray, grad: SparseRowGrad,
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     _check_row_grad(weights, grad)
-    if grad.rows.size == 0:
-        return
-    rows = grad.rows
-    accum[rows] += grad.values * grad.values
-    weights[rows] -= lr * grad.values / (np.sqrt(accum[rows]) + eps)
+    for b in _blocks(grad.values.shape):
+        rows, g = grad.rows[b], grad.values[b]
+        accum[rows] += g * g
+        weights[rows] -= lr * g / (np.sqrt(accum[rows]) + eps)
 
 
 class Sgd:

@@ -22,6 +22,18 @@ slices of the layer at once, which costs less while the batch is below
 ``2 * in * out / (in + out)`` for an ``in -> out`` layer. Nothing
 non-finite is applied: the loss and every gradient are checked before any
 device updates, and a failure raises ``FloatingPointError`` naming it.
+
+A step holds each large buffer only until its last reader is done. The
+lookups go once every shard's forward/backward has run. The reduction
+takes the layers in order and consumes their traces: a layer's activations
+and output gradients are dropped as soon as each device's grid slices of
+them exist, and the slices once the layer's gradients are made, so both
+MLPs' activations are gone before the embedding backward. Each table's
+batch gradient goes once its sparse backward has run, and the optimizers
+update in blocks (:mod:`dlrmkit.optim`). The high-water mark therefore
+comes at the end of the embedding backward and in the update, which hold
+every MLP gradient and every table gradient at once: the finiteness check
+must pass on all of them before any device applies one.
 """
 
 from __future__ import annotations
@@ -317,8 +329,14 @@ def _guard(fn, device: int):
 
 def _require_finite(values, what: str) -> None:
     """Stop the step before its update when ``values`` holds a NaN or an
-    infinity: raise ``FloatingPointError("<what> is not finite")``."""
-    if not np.isfinite(values).all():
+    infinity: raise ``FloatingPointError("<what> is not finite")``.
+
+    A NaN makes both the max and the min NaN, +inf shows in the max and
+    -inf in the min, so two reductions decide it without a boolean array
+    the size of ``values``; an empty array passes.
+    """
+    if not (np.isfinite(np.max(values, initial=0.0))
+            and np.isfinite(np.min(values, initial=0.0))):
         raise FloatingPointError(f"{what} is not finite")
 
 
@@ -344,17 +362,30 @@ def _reduce_mlp_grads(traces_per_dev: list[list[tuple]],
     doubles, are held at once, which is less than the components saved
     while the batch n is below ``2 * in * out / (in + out)``. The payload is
     that of the component lists, computed from the shapes.
+
+    The traces are consumed: each device's entry of a layer is set to None
+    as soon as its slices exist, and the layer's slices are dropped once its
+    gradients are made, so the activations and slices of a layer are freed
+    before the next layer is split, and none are left when this returns.
+    Callers that need the traces afterwards pass copies of the lists.
     """
     grads = MlpGrads([], [])
     stat_payload = grad_payload = 0
+
+    def split(traces, l, x_max, g_max):
+        x_l, gz_l = traces[l][:2]
+        traces[l] = None
+        return layer_grad_components(x_l, gz_l, x_max, g_max, n_total)
+
     for l in range(len(traces_per_dev[0])):
         x_max = allreduce_max([t[l][2] for t in traces_per_dev])
         g_max = allreduce_max([t[l][3] for t in traces_per_dev])
-        gs, xs = zip(*(_guard(lambda d: layer_grad_components(
-            *traces_per_dev[d][l][:2], x_max, g_max, n_total), d)
+        gs, xs = zip(*(_guard(lambda d: split(
+            traces_per_dev[d], l, x_max, g_max), d)
             for d in range(len(traces_per_dev))))
         weight = dense.sum_components(dense.outer_sum_components(gs, xs))
         bias = dense.sum_components(dense.col_sum_components(gs))
+        del gs, xs
         grads.weights.append(weight)
         grads.biases.append(bias)
         stat_payload += x_max.nbytes + g_max.nbytes
@@ -384,7 +415,8 @@ def _step(tables: list, replicas: list[tuple[MlpParams, MlpParams]],
     to their owners, and every device applies its update. The loss, each
     MLP layer's gradients and each table's gradient are checked as they are
     made; a non-finite one raises ``FloatingPointError`` naming it before
-    any device updates. Devices run one at
+    any device updates. Each buffer is dropped after its last reader (see
+    the module docstring). Devices run one at
     a time in ascending order, each one's work under ``_guard``. Timed under
     ``embedding_lookup``, ``shuffle``, ``bottom_mlp``, ``interaction``,
     ``top_mlp`` (each MLP's reduction under its own section), ``loss`` and
@@ -417,6 +449,7 @@ def _step(tables: list, replicas: list[tuple[MlpParams, MlpParams]],
         return _forward_backward(*replicas[d], dense_x[lo:hi], emb,
                                  labels[lo:hi], n_total, timer)
     shards = [_guard(local, d) for d in devices]
+    del per_table, shuffled     # the lookups' last readers are done
 
     # phase 4a: loss/accuracy gather (per-sample values, ascending order)
     with timer.section("loss"):
@@ -452,11 +485,13 @@ def _step(tables: list, replicas: list[tuple[MlpParams, MlpParams]],
         full_emb_grads = inverse_shuffle(
             [dict(enumerate(r.emb_grads)) for r in shards], plan, comm,
             step_idx)
+        del shards
     with timer.section("embedding_lookup"):
         table_grads = {}
         for d in devices:
             table_grads.update(_guard(lambda d: {
-                t: lookup_backward(tables[t], batches[t], full_emb_grads[t])
+                t: lookup_backward(tables[t], batches[t],
+                                   full_emb_grads.pop(t))
                 for t in owned[d]}, d))
         for t, g in table_grads.items():
             _require_finite(g.values, f"device {plan.table_assignment[t]}: "

@@ -104,6 +104,48 @@ def exact_batch_outer(gy, x):
     return out
 
 
+def grid_components_ref(a, col_max, n_total):
+    """``dense.grid_components`` as whole-array expressions, each level's
+    ``(rem + c) - c`` and ``rem - snapped`` into fresh arrays."""
+    from dlrmkit import dense
+
+    a = np.asarray(a, dtype=np.float64)
+    bits = dense.reduction_bits(n_total)
+    e = np.maximum(np.frexp(np.asarray(col_max, dtype=np.float64))[1],
+                   2 * bits - 537)
+    comps = []
+    rem = a
+    for p in range(1, dense.LEVELS + 1):
+        c = np.ldexp(1.5, 52) * np.ldexp(1.0, e - p * bits)
+        snapped = (rem + c) - c
+        comps.append(snapped)
+        if p < dense.LEVELS:
+            rem = rem - snapped
+    return comps
+
+
+# The optimizer updates as one whole-array expression each; the library's
+# blocked updates must give the same bits.
+
+def sgd_step_ref(param, grad, lr):
+    param -= lr * grad
+
+
+def sgd_step_rows_ref(weights, grad, lr):
+    weights[grad.rows] -= lr * grad.values
+
+
+def adagrad_step_ref(param, grad, accum, lr, eps):
+    accum += grad * grad
+    param -= lr * grad / (np.sqrt(accum) + eps)
+
+
+def adagrad_step_rows_ref(weights, grad, accum, lr, eps):
+    rows = grad.rows
+    accum[rows] += grad.values * grad.values
+    weights[rows] -= lr * grad.values / (np.sqrt(accum[rows]) + eps)
+
+
 def brute_force_min_max_load(sizes, num_devices):
     """Optimal makespan over all table->device assignments (small inputs)."""
     best = math.inf

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dlrmkit.model import interaction_width
 from oracles import (
     central_difference,
     exact_batch_outer,
+    grid_components_ref,
     matmul_ref,
     rows_position_invariant_ref,
 )
@@ -379,3 +381,31 @@ class TestPartitionInvariantReduction:
         for n in (1, 2, 9, 256, 2048):
             bits = dense.reduction_bits(n)
             assert n * 4 ** bits <= 2 ** 53
+
+    def test_grid_components_bits_and_allocations(self):
+        # in place, the split gives the bits of the whole-array expressions
+        # and allocates only the kept slices and one remainder, plus the
+        # at most 8192-element buffer numpy may use for a broadcast
+        # operand; zero, -0.0, subnormal, tiny and NaN columns included
+        rng = np.random.default_rng(24)
+        a = rng.standard_normal((128, 200)) * np.exp2(
+            rng.integers(-60, 61, size=(1, 200)))
+        a[:, 0] = 0.0
+        a[:, 1] = -0.0
+        a[:, 2] *= 1e-310
+        a[:, 3] *= 1e-160
+        a[5, 4] = np.nan
+        a[::3, 5] = -0.0
+        col_max = np.abs(a).max(axis=0)
+        for n_total in (64, 256):
+            want = grid_components_ref(a, col_max, n_total)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                got = dense.grid_components(a, col_max, n_total)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            assert peak <= (dense.LEVELS + 1) * a.nbytes + 96 * 1024

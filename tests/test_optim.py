@@ -6,6 +6,7 @@ import pytest
 from dlrmkit.dense import RngStream
 from dlrmkit.embedding import EmbeddingTable, SparseRowGrad
 from dlrmkit.optim import (
+    BLOCK_ELEMENTS,
     Adagrad,
     Sgd,
     adagrad_step,
@@ -13,6 +14,13 @@ from dlrmkit.optim import (
     make_optimizer,
     sgd_step,
     sgd_step_rows,
+)
+
+from oracles import (
+    adagrad_step_ref,
+    adagrad_step_rows_ref,
+    sgd_step_ref,
+    sgd_step_rows_ref,
 )
 
 
@@ -144,6 +152,92 @@ class TestSparseShapeChecks:
         self.STEPS[opt](w, SparseRowGrad(np.empty(0, np.int64),
                                          np.empty((0, 4))))
         assert not np.array_equal(w[2], np.ones(4))
+
+
+class TestBlockedUpdates:
+    """Every update runs over blocks of BLOCK_ELEMENTS elements (whole rows)
+    and must give the bits of its one-line reference at every size around
+    a block boundary: n rows of ``width`` values, with n counted in blocks
+    of ``BLOCK_ELEMENTS // width`` rows."""
+
+    @staticmethod
+    def _case(n, width, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n,) if width == 1 else (n, width)
+        param = rng.standard_normal(shape)
+        grad = rng.standard_normal(shape)
+        accum = np.abs(rng.standard_normal(shape))
+        # zero and -0.0 gradients (and parameters), at the block edges too
+        flat_g, flat_p = grad.reshape(-1), param.reshape(-1)
+        flat_g[::5] = 0.0
+        flat_g[::7] = -0.0
+        flat_p[::11] = -0.0
+        for edge in (0, BLOCK_ELEMENTS - 1, BLOCK_ELEMENTS, flat_g.size - 1):
+            if edge < flat_g.size:
+                flat_g[edge] = -0.0
+        accum.reshape(-1)[::13] = 0.0
+        return param, grad, accum
+
+    @staticmethod
+    def _bits(*arrays):
+        return [a.tobytes() for a in arrays]
+
+    @pytest.fixture(params=[1, 3], ids=["width1", "width3"])
+    def sizes(self, request):
+        width = request.param
+        block = BLOCK_ELEMENTS // width
+        return width, [1, block - 1, block, block + 1, 3 * block + 7]
+
+    def test_dense_updates_match_the_one_line_expressions(self, sizes):
+        width, ns = sizes
+        for n in ns:
+            param, grad, accum = self._case(n, width, seed=n)
+            want_p = param.copy()
+            sgd_step_ref(want_p, grad, 0.3)
+            got_p = param.copy()
+            sgd_step(got_p, grad, 0.3)
+            assert self._bits(got_p) == self._bits(want_p), n
+
+            want_p, want_a = param.copy(), accum.copy()
+            adagrad_step_ref(want_p, grad, want_a, 0.3, 1e-10)
+            got_p, got_a = param.copy(), accum.copy()
+            adagrad_step(got_p, grad, got_a, 0.3, 1e-10)
+            assert self._bits(got_p, got_a) == self._bits(want_p, want_a), n
+
+    def test_sparse_updates_match_the_one_line_expressions(self, sizes):
+        width, ns = sizes
+        for n in ns:
+            _, values, _ = self._case(n, width, seed=n)
+            values = values.reshape(n, width)
+            rng = np.random.default_rng(n + 1)
+            # n ascending unique rows of a table with 2n + 1 rows
+            rows = np.sort(rng.choice(2 * n + 1, size=n, replace=False))
+            weights = rng.standard_normal((2 * n + 1, width))
+            weights[::11] = -0.0
+            accum = np.abs(rng.standard_normal((2 * n + 1, width)))
+            grad = SparseRowGrad(rows, values)
+
+            want_w = weights.copy()
+            sgd_step_rows_ref(want_w, grad, 0.3)
+            got_w = weights.copy()
+            sgd_step_rows(got_w, grad, 0.3)
+            assert self._bits(got_w) == self._bits(want_w), n
+
+            want_w, want_a = weights.copy(), accum.copy()
+            adagrad_step_rows_ref(want_w, grad, want_a, 0.3, 1e-10)
+            got_w, got_a = weights.copy(), accum.copy()
+            adagrad_step_rows(got_w, grad, got_a, 0.3, 1e-10)
+            assert self._bits(got_w, got_a) == self._bits(want_w, want_a), n
+
+    def test_zero_d_parameters(self):
+        p, g, a = np.array(-0.0), np.array(2.0), np.array(0.5)
+        want_p, want_a = p.copy(), a.copy()
+        adagrad_step_ref(want_p, g, want_a, 0.1, 1e-10)
+        adagrad_step(p, g, a, 0.1, 1e-10)
+        assert self._bits(p, a) == self._bits(want_p, want_a)
+        sgd_step_ref(want_p, g, 0.1)
+        sgd_step(p, g, 0.1)
+        assert self._bits(p) == self._bits(want_p)
 
 
 class TestDeterminism:

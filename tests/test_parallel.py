@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dlrmkit import parallel
-from dlrmkit.dense import LEVELS, RngStream
+from dlrmkit.dense import LEVELS, RngStream, matmul_tile_rows
 from dlrmkit.embedding import SparseBatch, lookup_batch, offsets_from_lengths
 from dlrmkit.model import DlrmConfig, init_model
 from dlrmkit.optim import make_optimizer
@@ -361,6 +361,19 @@ def _bits(arrays):
     return [(a.shape, a.tobytes()) for a in arrays]
 
 
+def _peak(fn):
+    """Bytes traced by tracemalloc at the high point of ``fn()`` above
+    its entry."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestStreamedReduction:
     """``_reduce_mlp_grads`` reduces one component (bucket) at a time over
     the devices and folds it into the gradient at once; it must give the
@@ -413,19 +426,9 @@ class TestStreamedReduction:
                       np.abs(gz[lo:hi]).max(axis=0, initial=0.0))]
                      for lo, hi in zip(bounds, bounds[1:])]
 
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                fn()
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-
         def bucketed(ndev):
             t = traces(ndev)
-            return peak(lambda: parallel._reduce_mlp_grads(t, n))
+            return _peak(lambda: parallel._reduce_mlp_grads(t, n))
 
         one, four = bucketed(1), bucketed(4)
         assert one >= slices + buffer       # numpy allocations are traced
@@ -433,8 +436,42 @@ class TestStreamedReduction:
         assert four <= one + buffer + slack
         # holding every device's components at once breaks the bound
         t4 = traces(4)
-        assert (peak(lambda: reduce_mlp_grads_ref(t4, n))
+        assert (_peak(lambda: reduce_mlp_grads_ref(t4, n))
                 > slices + 2 * buffer + slack)
+
+    @pytest.mark.parametrize("ndev", [1, 3])
+    def test_step_peak_memory_holds_gradients_and_one_layer(self, ndev):
+        # Each buffer is freed after its last reader and the updates run
+        # in blocks, so the step holds at most every MLP and table gradient
+        # (the finiteness check needs them all before any update), the
+        # largest layer's slices and two layer-sized buffers, plus a slack.
+        # The model's table gradients outweigh its activations, as the
+        # desk model's do.
+        n, hot = 128, 8
+        cfg = DlrmConfig(embedding_sizes=[1000] * 4, sparse_dim=64,
+                         bottom_mlp_dims=[13, 64, 64],
+                         top_mlp_dims=[128, 128, 1], seed=3)
+        rng = RngStream(5)
+        dense_x = rng.uniform(n, cfg.dense_dim)
+        sparse = [SparseBatch(offsets_from_lengths([hot] * n),
+                              rng.integers(0, m, hot * n))
+                  for m in cfg.embedding_sizes]
+        labels = (rng.uniform(1, n)[0] < 0.5).astype(np.float64)
+        _, step = TestErrors._stepper(cfg, n, ndev)
+
+        dims = ([cfg.dense_dim] + cfg.bottom_mlp_dims,
+                [cfg.top_in_dim] + cfg.top_mlp_dims)
+        layers = [(i, o) for d in dims for i, o in zip(d, d[1:])]
+        mlp_grads = sum((i * o + o) * 8 for i, o in layers)
+        table_grads = sum(np.unique(b.indices).size * cfg.sparse_dim * 8
+                          for b in sparse)
+        slices = max(LEVELS * n * (i + o) * 8 for i, o in layers)
+        buffer = max(i * o * 8 for i, o in layers)
+        slack = 64 * 1024
+
+        matmul_tile_rows()      # the once-per-process self-check
+        assert (_peak(lambda: step(dense_x, sparse, labels))
+                <= mlp_grads + table_grads + slices + 2 * buffer + slack)
 
 
 def _fail_third_gradient_contribution(monkeypatch):
@@ -556,6 +593,87 @@ class TestErrors:
         assert all(np.array_equal(a, b) for a, b in zip(
             model_arrays(model), model_arrays(init_model(cfg)), strict=True))
         if ndev > 1:    # the other replicas too
+            assert step.__self__.max_replica_divergence() == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 5)], ids=str)
+    def test_require_finite_sees_either_end(self, bad, end, shape):
+        values = np.arange(float(np.prod(shape))).reshape(shape)
+        parallel._require_finite(values, "x")
+        values.reshape(-1)[end] = bad
+        with pytest.raises(FloatingPointError, match="^x is not finite$"):
+            parallel._require_finite(values, "x")
+
+    @pytest.mark.parametrize("values", [np.empty(0), np.empty((0, 3)),
+                                        np.empty((4, 0)), 0.25, -1e308],
+                             ids=["0", "0x3", "4x0", "float", "-1e308"])
+    def test_require_finite_passes_empty_and_scalar_values(self, values):
+        parallel._require_finite(values, "x")
+
+    @pytest.mark.parametrize("ndev", [1, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("poisoned", ["loss", "weight", "bias", "table"])
+    def test_non_finite_value_at_either_end_stops_the_step(
+            self, monkeypatch, ndev, bad, end, poisoned):
+        # the first or the last value of the per-sample losses (device 0's
+        # first sample or the last device's last one), of the top MLP's
+        # layer 2 weight gradient or the bottom MLP's layer 0 bias
+        # gradient, or of table 1's gradient
+        cfg = toy_config(seed=55)
+        batch = gen_batches(cfg, 6, 1, seed=66)[0]
+        model, step = self._stepper(cfg, 6, ndev)
+        calls = []
+        if poisoned == "loss":
+            real = parallel.bce_from_logits
+
+            def poison_loss(logits, labels):
+                per_sample = real(logits, labels)
+                calls.append(None)
+                if len(calls) == (1 if end == 0 else ndev):
+                    per_sample[end] = bad
+                return per_sample
+
+            monkeypatch.setattr(parallel, "bce_from_logits", poison_loss)
+            message = "^loss is not finite$"
+        elif poisoned in ("weight", "bias"):
+            real = parallel._reduce_mlp_grads
+            # bottom is reduced first, then top
+            which, layer = (("top", 2) if poisoned == "weight"
+                            else ("bottom", 0))
+
+            def poison_grads(traces, n_total):
+                grads, *payload = real(traces, n_total)
+                calls.append(None)
+                if len(calls) == (2 if which == "top" else 1):
+                    arrays = (grads.weights if poisoned == "weight"
+                              else grads.biases)
+                    arrays[layer].reshape(-1)[end] = bad
+                return grads, *payload
+
+            monkeypatch.setattr(parallel, "_reduce_mlp_grads", poison_grads)
+            message = (f"^{which} MLP layer {layer} {poisoned} gradient "
+                       "is not finite$")
+        else:
+            real = parallel.lookup_backward
+
+            def poison_table_1(table, sparse, grad):
+                g = real(table, sparse, grad)
+                if table is model.tables[1]:
+                    g.values.reshape(-1)[end] = bad
+                return g
+
+            monkeypatch.setattr(parallel, "lookup_backward", poison_table_1)
+            owner = make_plan(cfg, 6, ndev).table_assignment[1]
+            message = f"^device {owner}: table 1 gradient is not finite$"
+        with pytest.raises(FloatingPointError, match=message):
+            step(*batch)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            model_arrays(model), model_arrays(init_model(cfg)), strict=True))
+        if ndev > 1:
             assert step.__self__.max_replica_divergence() == 0.0
 
     def test_device_context_on_failure(self):
