@@ -53,21 +53,34 @@ xs = rng.normal(9, 4)
 gmax, xmax = np.abs(gy).max(axis=0), np.abs(xs).max(axis=0)
 
 
-def shard_slices(lo, hi):
-    # split each operand onto its batch-wide grids once
-    return (grid_components(gy[lo:hi], gmax, 9),
-            grid_components(xs[lo:hi], xmax, 9))
+def stacked_slices(bounds):
+    # each shard splits its rows onto the batch-wide grids once, straight
+    # into its own rows of one full-batch buffer per slice level
+    g_slices = [np.empty(gy.shape) for _ in range(3)]
+    x_slices = [np.empty(xs.shape) for _ in range(3)]
+    for lo, hi in bounds:
+        grid_components(gy[lo:hi], gmax, 9, out=[g[lo:hi] for g in g_slices])
+        grid_components(xs[lo:hi], xmax, 9, out=[x[lo:hi] for x in x_slices])
+    return g_slices, x_slices
 
 
-def buckets(bounds):
-    # one exact bucket per slice pair, summed over the shards in order;
-    # copied, since the generator reuses its buffer
-    g_slices, x_slices = zip(*(shard_slices(lo, hi) for lo, hi in bounds))
+def buckets(g_slices, x_slices):
+    # one exact product per slice pair over the given rows; copied, since
+    # the generator reuses its buffer
     return [c.copy() for c in outer_sum_components(g_slices, x_slices)]
 
 
-whole = buckets([(0, 9)])
-parts = buckets([(0, 3), (3, 5), (5, 9)])
-print("shard buckets equal the full-batch buckets bit for bit:",
-      all(np.array_equal(w_, p_) for w_, p_ in zip(whole, parts)))
+shards = [(0, 3), (3, 5), (5, 9)]
+g_slices, x_slices = stacked_slices(shards)
+whole = buckets(g_slices, x_slices)
+print("shard-filled slices give the one-shard buckets bit for bit:",
+      all(np.array_equal(w_, p_) for w_, p_ in
+          zip(whole, buckets(*stacked_slices([(0, 9)])))))
+# the per-shard products are exact too, so adding them shard by shard, as
+# an allreduce of per-device buckets would, gives the same bits
+per_shard = [buckets([g[lo:hi] for g in g_slices],
+                     [x[lo:hi] for x in x_slices]) for lo, hi in shards]
+print("full-batch buckets equal the shard-by-shard sums bit for bit:",
+      all(np.array_equal(w_, sum(p_)) for w_, p_ in
+          zip(whole, zip(*per_shard))))
 print("recombined gradient:\n", sum_components(whole))

@@ -19,18 +19,20 @@ the package:
   see ``matmul_tile_rows``.
 
 * ``grid_components`` splits each operand of a cross-sample reduction once
-  into grid-snapped slices; ``outer_sum_components`` / ``col_sum_components``
-  take every shard's slices and reduce over the sample axis with products
-  and partial sums that are exact in float64. Exact arithmetic is
-  associative, so the reduction result is bit-identical for any contiguous
-  partition of the samples, the property that makes data-parallel gradient
-  allreduce match serial training exactly. They yield one bucket per slice
-  pair (level), each summed over the shards in ascending order, and
-  ``sum_components`` folds each bucket into the result as soon as it is
-  complete, the way a bucketed allreduce overlaps its buckets: a weight
-  gradient holds the result, one bucket and one product buffer, never all
-  six components. A zero column snaps to +0.0 through the same add and
-  subtract as any other; a NaN column stays NaN.
+  into grid-snapped slices, optionally into caller-given buffers, so every
+  device can snap its shard into its own rows of one full-batch buffer per
+  slice level. ``outer_sum_components`` / ``col_sum_components`` take the
+  slices of the whole sample set and reduce over the sample axis with
+  products and partial sums that are exact in float64. Exact arithmetic is
+  associative, so each bucket is bit-identical to the ascending-shard sum
+  of the per-shard buckets for any contiguous partition of the samples,
+  the property that makes data-parallel gradient allreduce match serial
+  training exactly. They yield one bucket per slice pair (level), one
+  product or column sum each, and ``sum_components`` folds each bucket
+  into the result as soon as it is drawn: a weight gradient holds the
+  result and one bucket, never all six components. A zero column snaps to
+  +0.0 through the same add and subtract as any other; a NaN column stays
+  NaN.
 """
 
 from __future__ import annotations
@@ -283,7 +285,8 @@ def reduction_bits(n_total: int) -> int:
     return (53 - max(2, math.ceil(math.log2(max(n_total, 2))))) // 2
 
 
-def grid_components(a: Matrix, col_max: np.ndarray, n_total: int):
+def grid_components(a: Matrix, col_max: np.ndarray, n_total: int,
+                    out=None):
     """Split columns of ``a`` into LEVELS grid-snapped slices.
 
     col_max must be the abs-max of each column over the FULL sample set (all
@@ -291,6 +294,8 @@ def grid_components(a: Matrix, col_max: np.ndarray, n_total: int):
     Values above col_max (never the case when col_max is computed correctly)
     or non-finite inputs void the exactness guarantee. A zero column
     (col_max 0) snaps to +0.0, since (+-0 + c) - c = +0.0; a NaN propagates.
+    ``out``, if given, is LEVELS arrays of ``a``'s shape that receive the
+    slices (and are returned); otherwise they are allocated.
     """
     a = np.asarray(a, dtype=np.float64)
     bits = reduction_bits(n_total)
@@ -298,68 +303,55 @@ def grid_components(a: Matrix, col_max: np.ndarray, n_total: int):
     # (p + q <= 4) at or above 2^-1074, so BLAS never rounds one away
     e = np.maximum(np.frexp(np.asarray(col_max, dtype=np.float64))[1],
                    2 * bits - 537)
-    # (rem + c) - c and rem - snapped, each op in place where it can be:
-    # the only operand-sized allocations are the kept slices and one
-    # remainder
-    comps = []
+    if out is None:
+        out = [np.empty(a.shape, dtype=np.float64) for _ in range(LEVELS)]
+    # (rem + c) - c and rem - snapped, each op in place: the remainder
+    # lives in the last level's buffer until that slice is snapped from it,
+    # so nothing operand-sized is allocated besides ``out``
     rem = a
-    for p in range(1, LEVELS + 1):
+    for p, snapped in enumerate(out, start=1):
         # round-to-nearest-even onto the grid 2^(e - p*bits) via the
         # 1.5*2^52 magic constant
         c = np.ldexp(1.5, 52) * np.ldexp(1.0, e - p * bits)
-        snapped = np.add(rem, c)
+        np.add(rem, c, out=snapped)
         snapped -= c
-        comps.append(snapped)
         if p == 1:
-            rem = np.subtract(a, snapped)
+            rem = np.subtract(a, snapped, out=out[-1])
         elif p < LEVELS:
             rem -= snapped
-    return comps
+    return out
 
 
-def outer_sum_components(gs_per_shard, xs_per_shard):
-    """Exact-slice components of sum_b outer(gy[b], x[b]) over every shard,
-    given each shard's slices ``gs`` of gy and ``xs`` of x from
-    ``grid_components``, in ascending shard order.
+def outer_sum_components(gs, xs, out=None):
+    """Exact-slice components of sum_b outer(gy[b], x[b]) over the samples,
+    given the slices ``gs`` of gy and ``xs`` of x from ``grid_components``.
 
-    Yields one bucket per CROSS_TERMS pair: the shards' products of that
-    slice pair summed in shard order, an exact value, so the bits do not
-    depend on how the samples are split into shards. Folding the buckets
-    with ``sum_components`` gives the gradient.
+    Yields one bucket per CROSS_TERMS pair, the product of that slice pair
+    over every sample: an exact value, equal bit for bit to the sum of that
+    product over the row blocks of any contiguous partition, in any order.
+    Folding the buckets with ``sum_components`` gives the gradient.
 
-    The first bucket is a fresh (gy_cols x x_cols) matrix; every later one
-    is yielded in one reused buffer, so a bucket must be used (folded)
-    before the next is drawn. Shards after the first compute their product
-    into one more reused buffer and add it in. Two matrices are thus in
-    flight besides the caller's, and one on a single shard.
+    The first bucket is ``out`` if given, else a fresh (gy_cols x x_cols)
+    matrix; every later one is yielded in one reused buffer, so a bucket
+    must be used (folded) before the next is drawn. One matrix is thus in
+    flight besides the caller's.
     """
-    shape = (gs_per_shard[0][0].shape[1], xs_per_shard[0][0].shape[1])
-    bucket = np.empty(shape, dtype=np.float64)
-    product = (np.empty(shape, dtype=np.float64)
-               if len(gs_per_shard) > 1 else None)
+    shape = (gs[0].shape[1], xs[0].shape[1])
+    bucket = np.empty(shape, dtype=np.float64) if out is None else out
     for k, (p, q) in enumerate(CROSS_TERMS):
         if k == 1:      # the caller keeps the first bucket as its result
             bucket = np.empty(shape, dtype=np.float64)
-        np.matmul(gs_per_shard[0][p - 1].T, xs_per_shard[0][q - 1],
-                  out=bucket)
-        for gs, xs in zip(gs_per_shard[1:], xs_per_shard[1:]):
-            np.matmul(gs[p - 1].T, xs[q - 1], out=product)
-            bucket += product
+        np.matmul(gs[p - 1].T, xs[q - 1], out=bucket)
         yield bucket
 
 
-def col_sum_components(gs_per_shard):
-    """Exact-slice components of the per-column sum over samples of every
-    shard, given each shard's slices ``gs`` from ``grid_components``.
-
-    Yields one bucket per slice level: the shards' column sums of that
-    slice added in shard order, as ``outer_sum_components`` does.
+def col_sum_components(gs):
+    """Exact-slice components of the per-column sum over the samples, given
+    the slices ``gs`` from ``grid_components``: one column sum per slice
+    level, exact, as ``outer_sum_components``' buckets are.
     """
-    for p in range(LEVELS):
-        out = gs_per_shard[0][p].sum(axis=0)
-        for gs in gs_per_shard[1:]:
-            out += gs[p].sum(axis=0)
-        yield out
+    for g in gs:
+        yield g.sum(axis=0)
 
 
 def sum_components(components):

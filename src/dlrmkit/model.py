@@ -169,16 +169,19 @@ def mlp_backward_trace(params: MlpParams, cache: MlpCache, grad_y: Matrix
 
 
 def layer_grad_components(x_l: Matrix, gz_l: Matrix, x_max, gz_max,
-                          n_total: int):
-    """One shard's grid slices ``(gs, xs)`` of ``gz_l`` and ``x_l`` for the
-    exact (grad_W, grad_b) reduction of one layer.
+                          n_total: int, out=None):
+    """The grid slices ``(gs, xs)`` of ``gz_l`` and ``x_l`` for the exact
+    (grad_W, grad_b) reduction of one layer.
 
     Each operand is split onto its grids once; the ``gs`` slices feed both
     the weight products (``dense.outer_sum_components``) and the bias sums
-    (``dense.col_sum_components``), which take every shard's slices.
+    (``dense.col_sum_components``). ``out``, if given, is a pair of slice
+    buffer lists ``(gs, xs)`` to snap into, such as one device's rows of
+    the full-batch buffers.
     """
-    return (dense.grid_components(gz_l, gz_max, n_total),
-            dense.grid_components(x_l, x_max, n_total))
+    gs_out, xs_out = out or (None, None)
+    return (dense.grid_components(gz_l, gz_max, n_total, out=gs_out),
+            dense.grid_components(x_l, x_max, n_total, out=xs_out))
 
 
 def mlp_backward(params: MlpParams, cache: MlpCache, grad_y: Matrix,
@@ -198,8 +201,8 @@ def mlp_backward(params: MlpParams, cache: MlpCache, grad_y: Matrix,
     for trace in traces:
         gs, xs = layer_grad_components(*trace, n_total)
         dws.append(dense.sum_components(
-            dense.outer_sum_components([gs], [xs])))
-        dbs.append(dense.sum_components(dense.col_sum_components([gs])))
+            dense.outer_sum_components(gs, xs)))
+        dbs.append(dense.sum_components(dense.col_sum_components(gs)))
     return MlpGrads(dws, dbs), grad_x
 
 

@@ -13,27 +13,33 @@ The simulator is bit-equivalent to serial execution for any device count:
 per-sample computation never mixes rows, cross-sample gradient reductions
 use the exact grid components from :mod:`dlrmkit.dense` (invariant to
 contiguous partitioning), and every collective reduces in ascending replica
-order. The MLP gradient allreduce is bucketed: one component (slice pair)
-at a time is summed over the devices in ascending device order and folded
-into the gradient as soon as it is complete, so a layer holds its
-gradient, one bucket and one product buffer (two buffers on one device)
-rather than every component; the price is holding every device's grid
-slices of the layer at once, which costs less while the batch is below
-``2 * in * out / (in + out)`` for an ``in -> out`` layer. Nothing
+order. The MLP gradient allreduce is bucketed, one component (slice pair)
+at a time, and each bucket is one product: every device snaps its shard of
+a layer's operands into its own rows of one full-batch buffer per slice
+level, in ascending device order, and each bucket is the product of two
+stacked slices over all the samples, folded into the gradient as soon as
+it is made. The partial sums of slice products are exact, so a bucket has
+the bits of summing the devices' own products in device order, as the
+component allreduce's reduce-to-root does, at the cost of one product
+instead of P products and P - 1 adds. A layer holds its gradient, one
+bucket and the stacked slices, ``3 * n * (in + out)`` doubles for an
+``in -> out`` layer and batch ``n``, which costs less than the six
+components while ``n < 2 * in * out / (in + out)``. The comm log records
+the bytes the component allreduce of a P-device run moves. Nothing
 non-finite is applied: the loss and every gradient are checked before any
 device updates, and a failure raises ``FloatingPointError`` naming it.
 
 A step holds each large buffer only until its last reader is done. The
 lookups go once every shard's forward/backward has run. The reduction
 takes the layers in order and consumes their traces: a layer's activations
-and output gradients are dropped as soon as each device's grid slices of
-them exist, and the slices once the layer's gradients are made, so both
-MLPs' activations are gone before the embedding backward. Each table's
-batch gradient goes once its sparse backward has run, and the optimizers
-update in blocks (:mod:`dlrmkit.optim`). The high-water mark therefore
-comes at the end of the embedding backward and in the update, which hold
-every MLP gradient and every table gradient at once: the finiteness check
-must pass on all of them before any device applies one.
+and output gradients are dropped as soon as each device's rows of the
+stacked slices are written, and the slices once the layer's gradients are
+made, so both MLPs' activations are gone before the embedding backward.
+Each table's batch gradient goes once its sparse backward has run, and the
+optimizers update in blocks (:mod:`dlrmkit.optim`). The high-water mark
+therefore comes at the end of the embedding backward and in the update,
+which hold every MLP gradient and every table gradient at once: the
+finiteness check must pass on all of them before any device applies one.
 """
 
 from __future__ import annotations
@@ -340,57 +346,74 @@ def _require_finite(values, what: str) -> None:
         raise FloatingPointError(f"{what} is not finite")
 
 
-def _reduce_mlp_grads(traces_per_dev: list[list[tuple]],
-                      n_total: int) -> tuple[MlpGrads, int, int]:
-    """Exact full-batch gradients of one MLP from every device's per-layer
-    ``mlp_backward_trace`` entries, plus the per-replica payload bytes of
-    the stat and component allreduces.
+def _reduce_mlp_grads(traces_per_dev: list[list[tuple]], n_total: int,
+                      bounds: list[int] | None = None, which: str = "MLP"
+                      ) -> tuple[MlpGrads, int, int]:
+    """Exact full-batch gradients of one MLP (``which``, as errors name it)
+    from every device's per-layer ``mlp_backward_trace`` entries, plus the
+    per-replica payload bytes of the stat and component allreduces.
 
-    Per layer: allreduce of the local column abs-maxima (the shared grids);
-    each device splits its shard once (``layer_grad_components``, under
-    ``_guard``, in ascending device order); then the component allreduce,
-    bucketed: for each slice pair in turn, device 0's product is the
-    bucket, each later device's is added into it in ascending device order,
-    the reduce-to-root order of ``allreduce``, and the complete bucket is
-    folded into the gradient at once (``sum_components``). Every bucket is
-    the exact value of the component ``allreduce`` would give, and the fold
-    adds them in the same order, so the bits are those of reducing every
-    device's component lists. A weight gradient holds at most three
-    layer-sized buffers, the result, the bucket and one product buffer (two
-    on one device), where holding every component took seven or more. The
-    price is that every device's slices, ``LEVELS * n * (in + out)``
-    doubles, are held at once, which is less than the components saved
-    while the batch n is below ``2 * in * out / (in + out)``. The payload is
-    that of the component lists, computed from the shapes.
+    ``bounds`` are the devices' shard bounds, ``shard_bounds(n_total, P)``
+    by default. Per layer: allreduce of the local column abs-maxima (the
+    shared grids); one full-batch buffer per slice level for each operand,
+    into whose rows ``[lo_d, hi_d)`` each device snaps its shard
+    (``layer_grad_components``, under ``_guard``, in ascending device
+    order), after its trace's row count is checked against its shard; then
+    one product per slice pair (bucket) and one column sum per bias level
+    over the stacked rows, each folded into the gradient as soon as it is
+    made (``sum_components``). Every partial sum of slice products is
+    exact, so a bucket equals, bit for bit, the ascending-device sum of the
+    devices' own products that the component ``allreduce`` (reduce to root)
+    gives, and the fold adds the buckets in the same order: the bits are
+    those of reducing every device's component lists. A weight gradient
+    holds two layer-sized buffers, the result and one bucket, besides the
+    stacked slices, ``LEVELS * n * (in + out)`` doubles. The payload is
+    that of the component lists a P-device run exchanges, computed from the
+    shapes, so the comm log does not depend on how the sum is formed.
 
     The traces are consumed: each device's entry of a layer is set to None
-    as soon as its slices exist, and the layer's slices are dropped once its
-    gradients are made, so the activations and slices of a layer are freed
-    before the next layer is split, and none are left when this returns.
-    Callers that need the traces afterwards pass copies of the lists.
+    as soon as its rows of the slices are written, and the layer's slices
+    are dropped once its gradients are made, so the activations and slices
+    of a layer are freed before the next layer's slices are allocated, and
+    none are left when this returns. Callers that need the traces
+    afterwards pass copies of the lists.
     """
-    grads = MlpGrads([], [])
+    bounds = bounds or shard_bounds(n_total, len(traces_per_dev))
+    levels = dense.LEVELS
+    shapes = [(t[3].size, t[2].size) for t in traces_per_dev[0]]
+    # Every weight gradient is allocated before any layer's slices, so each
+    # layer's slices and bucket are freed together above them; allocated
+    # between the slices, the kept gradients split the free heap and raised
+    # desk-4dev's peak RSS.
+    grads = MlpGrads([np.empty(shape) for shape in shapes], [])
     stat_payload = grad_payload = 0
 
-    def split(traces, l, x_max, g_max):
-        x_l, gz_l = traces[l][:2]
-        traces[l] = None
-        return layer_grad_components(x_l, gz_l, x_max, g_max, n_total)
+    def fill(d, l, x_max, g_max, gs, xs):
+        lo, hi = bounds[d], bounds[d + 1]
+        x_l, gz_l = traces_per_dev[d][l][:2]
+        traces_per_dev[d][l] = None
+        for a in (x_l, gz_l):
+            if a.shape[0] != hi - lo:
+                raise ValueError(f"{which} layer {l} trace has {a.shape[0]} "
+                                 f"rows, shard is {hi - lo}")
+        layer_grad_components(x_l, gz_l, x_max, g_max, n_total,
+                              ([g[lo:hi] for g in gs], [x[lo:hi] for x in xs]))
 
-    for l in range(len(traces_per_dev[0])):
+    for l, (n_out, n_in) in enumerate(shapes):
         x_max = allreduce_max([t[l][2] for t in traces_per_dev])
         g_max = allreduce_max([t[l][3] for t in traces_per_dev])
-        gs, xs = zip(*(_guard(lambda d: split(
-            traces_per_dev[d], l, x_max, g_max), d)
-            for d in range(len(traces_per_dev))))
-        weight = dense.sum_components(dense.outer_sum_components(gs, xs))
+        gs = [np.empty((n_total, n_out)) for _ in range(levels)]
+        xs = [np.empty((n_total, n_in)) for _ in range(levels)]
+        for d in range(len(traces_per_dev)):
+            _guard(lambda d: fill(d, l, x_max, g_max, gs, xs), d)
+        weight = dense.sum_components(
+            dense.outer_sum_components(gs, xs, grads.weights[l]))
         bias = dense.sum_components(dense.col_sum_components(gs))
         del gs, xs
-        grads.weights.append(weight)
         grads.biases.append(bias)
         stat_payload += x_max.nbytes + g_max.nbytes
         grad_payload += (len(dense.CROSS_TERMS) * weight.nbytes
-                         + dense.LEVELS * bias.nbytes)
+                         + levels * bias.nbytes)
     return grads, stat_payload, grad_payload
 
 
@@ -464,12 +487,13 @@ def _step(tables: list, replicas: list[tuple[MlpParams, MlpParams]],
         _require_finite(loss, "loss")
 
     # phase 4b: exact gradient allreduce, layer by layer, one bucket at a
-    # time over the devices in device order
+    # time over the devices' stacked slices
     grads = {}
     for which in ("bottom", "top"):
         with timer.section(f"{which}_mlp"):
             grads[which], stat_payload, grad_payload = _reduce_mlp_grads(
-                [getattr(r, f"{which}_traces") for r in shards], n_total)
+                [getattr(r, f"{which}_traces") for r in shards], n_total,
+                plan.shard_bounds, f"{which} MLP")
             for l, (w, b) in enumerate(zip(grads[which].weights,
                                            grads[which].biases)):
                 _require_finite(w, f"{which} MLP layer {l} weight gradient")

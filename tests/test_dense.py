@@ -264,22 +264,41 @@ class TestRngStream:
         assert not np.array_equal(s.uniform(2, 2), s.uniform(2, 2))
 
 
-def _slices(a, amax, n_total, bounds):
-    return [dense.grid_components(a[lo:hi], amax, n_total)
-            for lo, hi in zip(bounds, bounds[1:])]
+def _slices(a, amax, n_total, bounds=None):
+    """The slices of ``a`` in full-batch buffers, each shard cut at
+    ``bounds`` (one shard by default) snapped into its own rows, as the
+    parallel reduction fills them."""
+    bounds = bounds or [0, a.shape[0]]
+    out = [np.empty(a.shape) for _ in range(dense.LEVELS)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        dense.grid_components(a[lo:hi], amax, n_total,
+                              out=[o[lo:hi] for o in out])
+    return out
 
 
 def _outer(gy, x, gmax, xmax, n_total, bounds=None):
-    """The weight buckets over the shards cut at ``bounds`` (one shard by
-    default), copied, since the generator reuses its buffer."""
-    bounds = bounds or [0, gy.shape[0]]
+    """The weight buckets, copied, since the generator reuses its
+    buffer."""
     return [c.copy() for c in dense.outer_sum_components(
         _slices(gy, gmax, n_total, bounds), _slices(x, xmax, n_total, bounds))]
 
 
 def _col(gy, gmax, n_total, bounds=None):
-    bounds = bounds or [0, gy.shape[0]]
     return list(dense.col_sum_components(_slices(gy, gmax, n_total, bounds)))
+
+
+def _shard_sums(buckets_per_shard):
+    """Each bucket summed over the shards in ascending order, the way a
+    reduce-to-root allreduce of per-shard buckets sums it."""
+    sums = [b.copy() for b in buckets_per_shard[0]]
+    for buckets in buckets_per_shard[1:]:
+        for total, b in zip(sums, buckets, strict=True):
+            total += b
+    return sums
+
+
+def _bytes(arrays):
+    return [a.tobytes() for a in arrays]
 
 
 class TestPartitionInvariantReduction:
@@ -326,6 +345,33 @@ class TestPartitionInvariantReduction:
                 folded = dense.sum_components(dense.outer_sum_components(
                     _slices(gy, gmax, b, bounds), _slices(x, xmax, b, bounds)))
                 assert np.array_equal(folded, dense.sum_components(parts))
+
+    def test_bucket_equals_ascending_shard_sum(self):
+        # The full-batch bucket, one product or column sum over every
+        # sample, has the bits of the per-shard buckets summed in ascending
+        # shard order, for random cuts (empty shards included) and with
+        # +0.0 and -0.0 columns in either operand.
+        rng = np.random.default_rng(25)
+        for trial in range(60):
+            gy, x = self._random_case(rng)
+            for a in (gy, x):
+                a[:, rng.integers(a.shape[1])] = (0.0, -0.0)[trial % 2]
+                a[rng.integers(a.shape[0]), rng.integers(a.shape[1])] = -0.0
+            b = gy.shape[0]
+            gmax = np.abs(gy).max(axis=0)
+            xmax = np.abs(x).max(axis=0)
+            full = _outer(gy, x, gmax, xmax, b)
+            fullb = _col(gy, gmax, b)
+            for ndev in (2, 3, 4, 7):
+                cut = sorted(rng.integers(0, b + 1, size=ndev - 1).tolist())
+                bounds = [0] + cut + [b]
+                shards = list(zip(bounds, bounds[1:]))
+                summed = _shard_sums([_outer(gy[lo:hi], x[lo:hi], gmax, xmax,
+                                             b) for lo, hi in shards])
+                summedb = _shard_sums([_col(gy[lo:hi], gmax, b)
+                                       for lo, hi in shards])
+                assert _bytes(full) == _bytes(summed)
+                assert _bytes(fullb) == _bytes(summedb)
 
     def test_accuracy_against_exact_sum(self):
         rng = np.random.default_rng(21)

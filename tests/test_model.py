@@ -125,8 +125,8 @@ class TestMlpBackward:
         gs, xs = layer_grad_components(
             x, gz, np.abs(x).max(axis=0), np.abs(gz).max(axis=0),
             x.shape[0])
-        return (dense.sum_components(dense.outer_sum_components([gs], [xs])),
-                dense.sum_components(dense.col_sum_components([gs])))
+        return (dense.sum_components(dense.outer_sum_components(gs, xs)),
+                dense.sum_components(dense.col_sum_components(gs)))
 
     def test_nan_gradient_column_propagates(self):
         rng = np.random.default_rng(7)
@@ -141,9 +141,9 @@ class TestMlpBackward:
         split = []
         real = dense.grid_components
 
-        def counted(a, col_max, n_total):
+        def counted(a, *args, **kwargs):
             split.append(a.shape)
-            return real(a, col_max, n_total)
+            return real(a, *args, **kwargs)
 
         monkeypatch.setattr(dense, "grid_components", counted)
         rng = np.random.default_rng(8)

@@ -374,11 +374,22 @@ def _peak(fn):
         tracemalloc.stop()
 
 
+def _layer_traces(x, gz, ndev):
+    """One layer's ``mlp_backward_trace`` entries on each of ``ndev``
+    devices, sharded as ``shard_bounds`` cuts the batch."""
+    bounds = shard_bounds(x.shape[0], ndev)
+    return [[(x[lo:hi], gz[lo:hi],
+              np.abs(x[lo:hi]).max(axis=0, initial=0.0),
+              np.abs(gz[lo:hi]).max(axis=0, initial=0.0))]
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
 class TestStreamedReduction:
-    """``_reduce_mlp_grads`` reduces one component (bucket) at a time over
-    the devices and folds it into the gradient at once; it must give the
-    bits and payload bytes of the reduction that builds every device's
-    components first (``reduce_mlp_grads_ref``)."""
+    """``_reduce_mlp_grads`` stacks the devices' slices and makes one
+    product (bucket) per slice pair over all of them, folding it into the
+    gradient at once; it must give the bits and payload bytes of the
+    reduction that builds every device's components first and allreduces
+    them (``reduce_mlp_grads_ref``)."""
 
     @pytest.mark.parametrize("batch", [5, 16])
     @pytest.mark.parametrize("ndev", [1, 2, 3, 4, 7])
@@ -404,13 +415,34 @@ class TestStreamedReduction:
             assert _bits(grads.biases) == _bits(want_b)
             assert (stat, grad) == (want_stat, want_grad)
 
+    @pytest.mark.parametrize("ndev", [1, 3, 4])
+    def test_desk_top_layer_shape_equals_list_then_allreduce(self, ndev):
+        # The desk top MLP's first layer, 100 -> 1024 over 256 samples: its
+        # weight buckets are (1024 x 256) . (256 x 100) products. ReLU
+        # inputs (zeros included), an all-zero input column and gradient
+        # columns spread over 2^+-40.
+        n, n_in, n_out = 256, 100, 1024
+        rng = np.random.default_rng(ndev)
+        x = np.maximum(rng.standard_normal((n, n_in)), 0.0)
+        x[:, 7] = 0.0
+        gz = rng.standard_normal((n, n_out)) * np.exp2(
+            rng.integers(-40, 41, size=(1, n_out)))
+        want_w, want_b, want_stat, want_grad = reduce_mlp_grads_ref(
+            _layer_traces(x, gz, ndev), n)
+        grads, stat, grad = parallel._reduce_mlp_grads(
+            _layer_traces(x, gz, ndev), n)
+        assert _bits(grads.weights) == _bits(want_w)
+        assert _bits(grads.biases) == _bits(want_b)
+        assert (stat, grad) == (want_stat, want_grad)
+
     def test_peak_memory_holds_one_bucket_at_a_time(self):
         # One 256 -> 256 layer over 128 samples, below the crossover
-        # n < 2 * in * out / (in + out) = 256 under which the slices of
-        # every device cost less than the components they replace. One
-        # device holds its slices, the gradient and one bucket; 4 devices
-        # add one product buffer. The slack covers the vectors (column
-        # maxima, bias buckets).
+        # n < 2 * in * out / (in + out) = 256 under which the stacked slices
+        # cost less than the components they replace. Any device count
+        # holds the slices, the gradient and one bucket: the devices' rows
+        # share the stacked buffers and each bucket is one product, so 4
+        # devices need no more than one. The slack covers the vectors
+        # (column maxima, bias buckets).
         n, width = 128, 256
         buffer = width * width * 8
         slices = LEVELS * n * (width + width) * 8
@@ -419,23 +451,16 @@ class TestStreamedReduction:
         x = rng.standard_normal((n, width))
         gz = rng.standard_normal((n, width))
 
-        def traces(ndev):
-            bounds = shard_bounds(n, ndev)
-            return [[(x[lo:hi], gz[lo:hi],
-                      np.abs(x[lo:hi]).max(axis=0, initial=0.0),
-                      np.abs(gz[lo:hi]).max(axis=0, initial=0.0))]
-                     for lo, hi in zip(bounds, bounds[1:])]
-
         def bucketed(ndev):
-            t = traces(ndev)
+            t = _layer_traces(x, gz, ndev)
             return _peak(lambda: parallel._reduce_mlp_grads(t, n))
 
         one, four = bucketed(1), bucketed(4)
         assert one >= slices + buffer       # numpy allocations are traced
         assert one <= slices + 2 * buffer + slack
-        assert four <= one + buffer + slack
+        assert four <= one + slack
         # holding every device's components at once breaks the bound
-        t4 = traces(4)
+        t4 = _layer_traces(x, gz, 4)
         assert (_peak(lambda: reduce_mlp_grads_ref(t4, n))
                 > slices + 2 * buffer + slack)
 
@@ -497,6 +522,33 @@ class TestErrors:
         batch = gen_batches(cfg, 8, 1, seed=62)[0]
         with pytest.raises(RuntimeError, match="^device 2: injected$"):
             trainer.step(*batch)
+
+    def test_short_trace_names_its_device_mlp_and_layer(self, monkeypatch):
+        # device 2 of 4 hands the reduction a top MLP layer 1 trace one row
+        # short of its 2-row shard
+        cfg = toy_config(seed=55)
+        model = init_model(cfg)
+        trainer = ParallelTrainer(model, make_plan(cfg, 8, 4), "sgd", 0.1)
+        batch = gen_batches(cfg, 8, 1, seed=66)[0]
+        real = parallel.mlp_backward_trace
+        calls = []
+
+        def short_on_device_2(params, cache, grad_y):
+            traces, grad_x = real(params, cache, grad_y)
+            calls.append(params)
+            if len(calls) == 5:     # device 2's top MLP sweep
+                assert params is trainer.replica_params(2)[1]
+                x, gz, x_max, gz_max = traces[1]
+                traces[1] = (x[:-1], gz[:-1], x_max, gz_max)
+            return traces, grad_x
+
+        monkeypatch.setattr(parallel, "mlp_backward_trace", short_on_device_2)
+        with pytest.raises(RuntimeError,
+                           match="^device 2: top MLP layer 1 trace has 1 "
+                                 "rows, shard is 2$"):
+            trainer.step(*batch)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            model_arrays(model), model_arrays(init_model(cfg)), strict=True))
 
     def test_failing_serial_step_names_device_0(self, monkeypatch):
         _fail_third_gradient_contribution(monkeypatch)
@@ -645,8 +697,8 @@ class TestErrors:
             which, layer = (("top", 2) if poisoned == "weight"
                             else ("bottom", 0))
 
-            def poison_grads(traces, n_total):
-                grads, *payload = real(traces, n_total)
+            def poison_grads(traces, *args):
+                grads, *payload = real(traces, *args)
                 calls.append(None)
                 if len(calls) == (2 if which == "top" else 1):
                     arrays = (grads.weights if poisoned == "weight"
