@@ -43,7 +43,10 @@ print("\n== row-slice stability ==")
 x = rng.normal(6, 5)
 w = rng.normal(5, 4)
 full = matmul(x, w)
-sliced = np.vstack([matmul(x[:2], w), matmul(x[2:5], w), matmul(x[5:], w)])
+# each shard passes its first row's batch position, so its rows sit where
+# they sit in the full product's GEMM call
+sliced = np.vstack([matmul(x[lo:hi], w, first_row=lo)
+                    for lo, hi in [(0, 2), (2, 5), (5, 6)]])
 print("full product == stitched shard products:",
       np.array_equal(full, sliced))
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import RngStream, matmul_tile_rows
+from .dense import RngStream
 from .datagen import (
     RandomDataSpec,
     TraceGenerator,
@@ -445,15 +445,13 @@ def format_report(report: RunReport, emit: str) -> str:
             "wall_seconds": report.wall_seconds,
             "profiling_enabled": report.profiling_enabled,
             "num_records": len(report.records),
-            "matmul_tile_rows": matmul_tile_rows(),
         }
         if report.profiling_enabled:
             payload["operator_seconds"] = dict(report.ranked_operators())
             payload["attributed_fraction"] = report.attributed_fraction()
         return json.dumps(payload, sort_keys=True)
     lines = [f"wall clock: {report.wall_seconds:.4f} s over "
-             f"{len(report.records)} records",
-             f"matmul tile rows: {matmul_tile_rows()}"]
+             f"{len(report.records)} records"]
     if report.profiling_enabled:
         lines.append("operator                seconds    share")
         for name, secs in report.ranked_operators():

@@ -4,19 +4,21 @@ streams, and partition-invariant cross-sample reductions.
 Everything here is float64. Two determinism guarantees matter to the rest of
 the package:
 
-* ``matmul`` makes one BLAS GEMM call per tile of a fixed height, the last
-  tile zero-padded, so every row goes through a call of the same shape. The
-  rows of ``matmul(a, b)`` are bit-identical whether ``a`` is the full
-  mini-batch or any row-slice of it, provided a row's bits do not depend on
-  its position inside the tile. (A plain whole-matrix GEMM does not have
-  this property: its kernels sum in different orders for different matrix
-  heights.) OpenBLAS's AVX-512 kernels can make a row depend on its
-  position in tiles of 16 or more rows when ``b``'s width N is not a
-  multiple of 8, so every such ``b`` is zero-padded to a multiple of 8
-  columns and the result sliced back to N. The tile height is picked once
-  per process by a self-check on first use, which runs the padded product
-  on repeated copies of a row and requires every copy to get the same bits;
-  see ``matmul_tile_rows``.
+* ``matmul`` makes one BLAS GEMM call per tile of ``TILE_ROWS`` (64) rows,
+  zero-padding partial tiles, and places row ``i`` of ``a`` at position
+  ``(first_row + i) % TILE_ROWS`` of its call. A caller that passes a row
+  slice's batch offset as ``first_row`` sends every row through the same
+  call shape, at the same position, as the full batch does, so the rows of
+  ``matmul(a[lo:hi], b, first_row=lo)`` are bit-identical to rows
+  ``lo:hi`` of ``matmul(a, b)``. This holds whatever the BLAS does with a
+  row's position in its call; it assumes only that a GEMM output row
+  depends on its own input row and ``b``, not on the other rows. (A plain
+  whole-matrix GEMM does not have this property: its kernels sum in
+  different orders for different matrix heights.) When ``b``'s width N is
+  not a multiple of 8, OpenBLAS's AVX-512 kernels send the fringe columns
+  down another path, whose bits differ between one and two BLAS threads;
+  so every such ``b`` is zero-padded to a multiple of 8 columns and the
+  result sliced back to N.
 
 * ``grid_components`` splits each operand of a cross-sample reduction once
   into grid-snapped slices, optionally into caller-given buffers, so every
@@ -37,7 +39,6 @@ the package:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,8 +47,8 @@ import numpy as np
 __all__ = [
     "Matrix",
     "RngStream",
+    "TILE_ROWS",
     "matmul",
-    "matmul_tile_rows",
     "dot",
     "activation",
     "activation_grad",
@@ -77,29 +78,23 @@ def _as_matrix(a, name: str) -> Matrix:
 # ---------------------------------------------------------------------------
 # products
 
-# Tile heights tried by the self-check, tallest (fastest) first; 1, the
-# per-row product, is the fallback when none passes. 128 is left out: the
-# 64-row shards of a 256 batch on 4 devices would run padded to 128 rows.
-TILE_CANDIDATES = (64, 32, 16, 8, 4, 2)
-# Probe shapes, run through the tiled product as is. The N list includes
-# widths that are not multiples of 8, whose fringe columns would take
-# another kernel path without the padding. The K list reaches the depths
-# of production products (256 to 1024), with one depth that is not a
-# multiple of 8. Largest shapes come first so that a failing tile height is
-# rejected after few calls.
-_PROBE_K = (1024, 257, 65, 64, 3, 1)
-_PROBE_N = (1023, 257, 200, 193, 100, 64, 13, 7, 1)
+# Rows per GEMM call in ``matmul``. Row slices keep their bits at any
+# height; 64 keeps the 64-row shards of a 256 batch on 4 devices in whole
+# tiles.
+TILE_ROWS = 64
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with per-row determinism.
+def matmul(a: Matrix, b: Matrix, first_row: int = 0) -> Matrix:
+    """Matrix product whose rows keep their bits under row slicing.
 
-    Each tile of ``matmul_tile_rows()`` rows of ``a`` is one GEMM call; the
-    rows past the last whole tile are copied into one zero-padded tile. A
-    ``b`` whose width N is not a multiple of 8 gets zero columns up to the
-    next multiple, and the result keeps the first N.
-    result[i] depends only on a[i] and b, so row-slicing ``a`` never changes
-    the bits of the surviving rows. Raises ShapeError on an inner-dimension
+    Row ``i`` of ``a`` sits at position ``(first_row + i) % TILE_ROWS`` of
+    a ``TILE_ROWS``-row GEMM call, and zeros fill the rest of a partial
+    tile. A ``b`` whose width N is not a multiple of 8 gets zero columns up
+    to the next multiple, and the result keeps the first N. So
+    ``matmul(a[lo:hi], b, first_row=lo)`` equals rows ``lo:hi`` of
+    ``matmul(a, b)`` bit for bit, as long as a GEMM output row depends only
+    on its own input row and ``b``. A slice that starts or ends inside a
+    tile pays for the whole tile. Raises ShapeError on an inner-dimension
     mismatch.
     """
     a = _as_matrix(a, "a")
@@ -108,11 +103,8 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise ShapeError(
             f"matmul inner dimensions differ: {a.shape} x {b.shape}"
         )
-    # The self-check only probes row-major tiles.
-    return _tiled_matmul(np.ascontiguousarray(a), b, matmul_tile_rows())
-
-
-def _tiled_matmul(a: Matrix, b: Matrix, tile: int) -> Matrix:
+    # row-major tiles whatever a's layout, so a row's call is the same
+    a = np.ascontiguousarray(a)
     m, n = a.shape[0], b.shape[1]
     if n % 8:
         # every output column then lies in a whole 8-column block, so none
@@ -120,58 +112,20 @@ def _tiled_matmul(a: Matrix, b: Matrix, tile: int) -> Matrix:
         wide = np.zeros((b.shape[0], -(-n // 8) * 8), dtype=np.float64)
         wide[:, :n] = b
         b = wide
-    whole = m - m % tile
-    out = np.empty((-(-m // tile) * tile, b.shape[1]), dtype=np.float64)
-    for i in range(0, whole, tile):
-        np.matmul(a[i:i + tile], b, out=out[i:i + tile])
-    if whole != m:
-        tail = np.zeros((tile, a.shape[1]), dtype=np.float64)
-        tail[:m - whole] = a[whole:]
-        np.matmul(tail, b, out=out[whole:])
-    return out[:m, :n]
-
-
-@functools.cache
-def matmul_tile_rows() -> int:
-    """Rows per GEMM call in ``matmul``, fixed for the life of the process.
-
-    Computed on first use as the tallest of TILE_CANDIDATES whose tiled
-    product passes the row-position self-check, else 1 (one call per row).
-    On one core of a shared 2-vCPU AVX-512 host the check takes about 0.4 s,
-    paid once per process.
-    """
-    return _choose_tile_rows(_tiled_matmul)
-
-
-def _choose_tile_rows(product) -> int:
-    """Tallest tile height in TILE_CANDIDATES at which ``product(a, b, tile)``
-    gives every row the same bits at every position in the tile; 1 if none.
-    """
-    for tile in TILE_CANDIDATES:
-        if _rows_position_invariant(product, tile):
-            return tile
-    return 1
-
-
-def _rows_position_invariant(product, tile: int) -> bool:
-    # A GEMM output row depends only on its own input row and b, so the
-    # 2*tile-1 copies of one row, one whole tile and the zero-padded tail
-    # tile of a single call, must all come out with the same bits.
-    rng = np.random.default_rng(0)
-    for k in _PROBE_K:
-        # Four distinct rows; magnitudes spanning ~24 decades make any
-        # change in the summation order show in the bits.
-        rows = rng.standard_normal((4, k)) * np.exp2(
-            rng.integers(-40, 41, size=(4, k)))
-        for n in _PROBE_N:
-            b = rng.standard_normal((k, n))
-            for b_ordered in (b, np.asfortranarray(b)):
-                for row in rows:
-                    out = product(np.tile(row, (2 * tile - 1, 1)), b_ordered,
-                                  tile)
-                    if (out != out[0]).any():
-                        return False
-    return True
+    # out row start + i holds row i of a; out's tiles are the GEMM calls,
+    # and an empty a makes none
+    start = first_row % TILE_ROWS if m else 0
+    out = np.empty((-(-(start + m) // TILE_ROWS) * TILE_ROWS, b.shape[1]),
+                   dtype=np.float64)
+    for t in range(0, out.shape[0], TILE_ROWS):
+        lo, hi = max(t - start, 0), min(t + TILE_ROWS - start, m)
+        if hi - lo == TILE_ROWS:
+            np.matmul(a[lo:hi], b, out=out[t:t + TILE_ROWS])
+        else:
+            tile = np.zeros((TILE_ROWS, a.shape[1]), dtype=np.float64)
+            tile[start + lo - t:start + hi - t] = a[lo:hi]
+            np.matmul(tile, b, out=out[t:t + TILE_ROWS])
+    return out[start:start + m, :n]
 
 
 def dot(u, v) -> float:

@@ -98,6 +98,7 @@ class MlpCache:
     x0: Matrix
     pre: list[Matrix]   # pre-activations z_l
     post: list[Matrix]  # activations a_l
+    first_row: int = 0  # batch position of row 0, for ``matmul``
 
     def layer_input(self, l: int) -> Matrix:
         return self.x0 if l == 0 else self.post[l - 1]
@@ -122,7 +123,11 @@ def init_mlp(dims: list[int], activations: list[str], stream: RngStream) -> MlpP
     return MlpParams(layers)
 
 
-def mlp_forward(params: MlpParams, x: Matrix) -> tuple[Matrix, MlpCache]:
+def mlp_forward(params: MlpParams, x: Matrix, first_row: int = 0
+                ) -> tuple[Matrix, MlpCache]:
+    """The MLP over the rows of ``x``, which sit at batch positions
+    ``first_row`` onwards; every product passes that to ``matmul``, so a
+    row slice of a batch gets the bits of the same rows of the batch."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ValueError(
@@ -132,11 +137,11 @@ def mlp_forward(params: MlpParams, x: Matrix) -> tuple[Matrix, MlpCache]:
     pre, post = [], []
     a = x
     for layer in params.layers:
-        z = matmul(a, layer.weight.T) + layer.bias
+        z = matmul(a, layer.weight.T, first_row) + layer.bias
         a = activation(z, layer.activation)
         pre.append(z)
         post.append(a)
-    return a, MlpCache(x, pre, post)
+    return a, MlpCache(x, pre, post, first_row)
 
 
 def mlp_backward_trace(params: MlpParams, cache: MlpCache, grad_y: Matrix
@@ -164,7 +169,7 @@ def mlp_backward_trace(params: MlpParams, cache: MlpCache, grad_y: Matrix
         gz = grad_a * activation_grad(cache.pre[l], layer.activation)
         traces[l] = (x, gz, np.abs(x).max(axis=0, initial=0.0),
                      np.abs(gz).max(axis=0, initial=0.0))
-        grad_a = matmul(gz, layer.weight)
+        grad_a = matmul(gz, layer.weight, cache.first_row)
     return traces, grad_a
 
 
@@ -346,7 +351,7 @@ def init_model(config: DlrmConfig) -> DlrmModel:
 
 
 def forward_logits(bottom: MlpParams, top: MlpParams, dense_x: Matrix,
-                   emb_outputs: list[Matrix], timer=None
+                   emb_outputs: list[Matrix], timer=None, first_row: int = 0
                    ) -> tuple[np.ndarray, MlpCache, MlpCache]:
     """The model's forward pass from pooled embeddings to logits:
     top_mlp(interact(bottom_mlp(x), emb_outputs)).
@@ -354,16 +359,18 @@ def forward_logits(bottom: MlpParams, top: MlpParams, dense_x: Matrix,
     Returns the logits (one per sample) and the bottom and top MLP caches
     the backward sweeps read; the processed dense vector is the bottom
     cache's last activation. Timed under ``bottom_mlp``, ``interaction`` and
-    ``top_mlp`` when a timer is given. Every step runs through this, serial
-    or per device, and so does ``dlrm_forward``.
+    ``top_mlp`` when a timer is given. ``first_row`` is the batch position
+    of the first sample, a device's shard start (see ``mlp_forward``).
+    Every step runs through this, serial or per device, and so does
+    ``dlrm_forward``.
     """
     timer = timer or NullTimer()
     with timer.section("bottom_mlp"):
-        dense_repr, bottom_cache = mlp_forward(bottom, dense_x)
+        dense_repr, bottom_cache = mlp_forward(bottom, dense_x, first_row)
     with timer.section("interaction"):
         inter = interact(dense_repr, emb_outputs)
     with timer.section("top_mlp"):
-        logits, top_cache = mlp_forward(top, inter)
+        logits, top_cache = mlp_forward(top, inter, first_row)
     return logits[:, 0], bottom_cache, top_cache
 
 

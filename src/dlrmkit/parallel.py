@@ -10,8 +10,10 @@ run one at a time in ascending order, and a failure in a device's work is
 raised as ``device d: ...``.
 
 The simulator is bit-equivalent to serial execution for any device count:
-per-sample computation never mixes rows, cross-sample gradient reductions
-use the exact grid components from :mod:`dlrmkit.dense` (invariant to
+per-sample computation never mixes rows, and each device runs its shard's
+products at the shard's batch positions (``dense.matmul``'s ``first_row``),
+so its rows go through the serial run's GEMM calls; cross-sample gradient
+reductions use the exact grid components from :mod:`dlrmkit.dense` (invariant to
 contiguous partitioning), and every collective reduces in ascending replica
 order. The MLP gradient allreduce is bucketed, one component (slice pair)
 at a time, and each bucket is one product: every device snaps its shard of
@@ -297,16 +299,17 @@ class _ShardResult:
 
 def _forward_backward(bottom: MlpParams, top: MlpParams, dense_x: Matrix,
                       emb: list[Matrix], labels: np.ndarray, n_total: int,
-                      timer) -> _ShardResult:
+                      first_row: int, timer) -> _ShardResult:
     """``model.forward_logits``, the per-sample BCE and the per-sample
-    backward sweeps over one shard of an ``n_total``-sample mini-batch.
+    backward sweeps over one shard of an ``n_total``-sample mini-batch,
+    whose first sample is sample ``first_row`` of the batch.
 
     The logit gradient is (p - y) / n_total, the shard's rows of the
     gradient of the full-batch mean loss. A shard may be empty when there
     are more devices than samples; every stage then yields empty arrays.
     """
     logits, bottom_cache, top_cache = forward_logits(bottom, top, dense_x,
-                                                     emb, timer)
+                                                     emb, timer, first_row)
     with timer.section("loss"):
         per_sample = bce_from_logits(logits, labels)
         probs = activation(logits, "sigmoid")
@@ -470,7 +473,7 @@ def _step(tables: list, replicas: list[tuple[MlpParams, MlpParams]],
         lo, hi = plan.shard(d)
         emb = [s.values for s in shuffled[d]]   # ascending table id
         return _forward_backward(*replicas[d], dense_x[lo:hi], emb,
-                                 labels[lo:hi], n_total, timer)
+                                 labels[lo:hi], n_total, lo, timer)
     shards = [_guard(local, d) for d in devices]
     del per_table, shuffled     # the lookups' last readers are done
 

@@ -36,27 +36,19 @@ def matmul_ref(a, b):
     return out
 
 
-def rows_position_invariant_ref(product, tile):
-    """The window sweep: over the probe shapes of ``dense``, run every
-    window of ``tile`` consecutive rows out of ``2 * tile`` distinct rows
-    and require it to match those rows of the full product. Row r sits at
-    position r % tile in the full product and at r - o in the window
-    starting at o, so every row is compared across every position."""
-    from dlrmkit import dense
+_GEMM = np.matmul
 
-    rng = np.random.default_rng(0)
-    for k in dense._PROBE_K:
-        a = rng.standard_normal((2 * tile, k)) * np.exp2(
-            rng.integers(-40, 41, size=(2 * tile, k)))
-        for n in dense._PROBE_N:
-            b = rng.standard_normal((k, n))
-            for b_ordered in (b, np.asfortranarray(b)):
-                full = product(a, b_ordered, tile)
-                for o in range(1, tile):
-                    window = product(a[o:o + tile], b_ordered, tile)
-                    if not np.array_equal(window, full[o:o + tile]):
-                        return False
-    return True
+
+def position_skewed_matmul(a, b, out=None):
+    """``np.matmul`` whose output rows pick up their position in the call:
+    row p is scaled by 1 + p * 2^-50, as a BLAS whose kernels sum a row
+    differently at different positions would shift its low bits."""
+    got = _GEMM(a, b)
+    got *= 1.0 + np.arange(got.shape[0])[:, None] * 2.0 ** -50
+    if out is None:
+        return got
+    out[...] = got
+    return out
 
 
 def grad_rel_err(analytic, fd, floor=1e-4, abs_tol=1e-9):

@@ -19,14 +19,8 @@ from oracles import (
     exact_batch_outer,
     grid_components_ref,
     matmul_ref,
-    rows_position_invariant_ref,
+    position_skewed_matmul,
 )
-
-
-def tile_rows_ref(product):
-    # dense._choose_tile_rows with the window sweep as its check
-    return next((tile for tile in dense.TILE_CANDIDATES
-                 if rows_position_invariant_ref(product, tile)), 1)
 
 
 class TestMatmul:
@@ -70,84 +64,46 @@ class TestMatmul:
             right = matmul(a, matmul(b, c))
             assert np.abs(left - right).max() < 1e-9
 
-    def test_row_shard_stability(self):
-        # rows of a sliced operand match the full product bit for bit;
-        # widths that are not multiples of 8 are where tall BLAS tiles can
-        # make rows depend on their position in the tile, and an F-ordered
-        # b is what weight.T is
+    def test_row_shard_stability(self, monkeypatch):
+        # rows of a slice passed with its batch offset match the full
+        # product bit for bit, with numpy's GEMM and with one whose rows
+        # pick up their position in the call: cuts inside one tile and
+        # across tiles, empty cuts and offsets past the first tile. Widths
+        # that are not multiples of 8 are padded inside matmul, and an
+        # F-ordered b is what weight.T is.
         rng = np.random.default_rng(2)
-        for m, k, n, order in [(9, 4, 3, "C"), (8, 13, 7, "C"),
-                               (5, 64, 64, "C"), (16, 100, 24, "C"),
-                               (40, 64, 257, "C"), (40, 32, 1023, "C"),
-                               (40, 65, 193, "F"), (0, 5, 4, "C")]:
-            a = rng.standard_normal((m, k)) * np.exp(
-                rng.standard_normal((m, 1)) * 4)
-            b = np.asarray(rng.standard_normal((k, n)), order=order)
-            full = matmul(a, b)
-            assert full.shape == (m, n)
-            for lo in range(m):
-                for hi in (lo + 1, min(m, lo + 3)):
-                    assert np.array_equal(matmul(a[lo:hi], b), full[lo:hi])
-        # a 256-row batch over 3 devices: shards of 86, 85 and 85 rows
-        a = rng.standard_normal((256, 100)) * np.exp(
-            rng.standard_normal((256, 1)) * 4)
-        weight = rng.standard_normal((257, 100))
-        full = matmul(a, weight.T)
-        for lo, hi in [(0, 86), (86, 171), (171, 256)]:
-            assert np.array_equal(matmul(a[lo:hi], weight.T), full[lo:hi])
-
-    def test_tile_self_check_rejects_position_dependent_rows(self):
-        memo = [None, {}]  # the last b, and its products keyed by row bytes
-
-        def per_row(a, b, tile):
-            # each distinct row is multiplied by b once; holding b keeps a
-            # later operand from matching it by identity
-            if memo[0] is not b:
-                memo[:] = [b, {}]
-            products, out = memo[1], []
-            for row in a:
-                key = row.tobytes()
-                if key not in products:
-                    products[key] = row @ b
-                out.append(products[key])
-            return np.array(out)
-
-        def skewed_from(min_tile):
-            # a product whose rows pick up their position in tiles of
-            # min_tile or more rows, as some BLAS kernels do for odd widths
-            def product(a, b, tile):
-                out = per_row(a, b, tile)
-                if tile >= min_tile:
-                    pos = np.arange(out.shape[0]) % tile
-                    out = out * (1.0 + pos[:, None] * 2.0 ** -50)
-                return out
-            return product
-
-        for choose in (dense._choose_tile_rows, tile_rows_ref):
-            assert choose(per_row) == 64
-            assert choose(skewed_from(64)) == 32
-            assert choose(skewed_from(16)) == 8
-            assert choose(skewed_from(2)) == 1
-
-    def test_tile_self_check_agrees_with_window_sweep(self):
-        def unpadded(a, b, tile):
-            # the tiled product without its column padding, where OpenBLAS's
-            # AVX-512 kernels make rows depend on their position in tiles
-            # of 16 or more rows (8 rows pass there)
-            rows = np.zeros((-(-a.shape[0] // tile) * tile, a.shape[1]))
-            rows[:a.shape[0]] = a
-            return np.concatenate([rows[i:i + tile] @ b for i in
-                                   range(0, len(rows), tile)])[:a.shape[0]]
-
-        assert (dense._choose_tile_rows(unpadded)
-                == tile_rows_ref(unpadded))
-        assert rows_position_invariant_ref(dense._tiled_matmul,
-                                           dense.matmul_tile_rows())
+        cases = [(9, 4, 3, "C"), (8, 13, 7, "C"), (5, 64, 64, "C"),
+                 (16, 100, 24, "F"), (150, 64, 257, "C"), (140, 65, 1, "F"),
+                 (130, 16, 100, "C"), (200, 32, 1023, "F"), (0, 5, 4, "C")]
+        cuts = (0, 1, 2, 5, 31, 62, 63, 64, 65, 100, 127, 128, 129, 191, 192)
+        for gemm in (np.matmul, position_skewed_matmul):
+            monkeypatch.setattr(np, "matmul", gemm)
+            for m, k, n, order in cases:
+                a = rng.standard_normal((m, k)) * np.exp(
+                    rng.standard_normal((m, 1)) * 4)
+                b = np.asarray(rng.standard_normal((k, n)), order=order)
+                full = matmul(a, b)
+                assert full.shape == (m, n)
+                for lo in {c for c in cuts if c < m} | {m}:
+                    for step in (0, 1, 3, 64, 70, m):
+                        hi = min(lo + step, m)
+                        assert np.array_equal(
+                            matmul(a[lo:hi], b, first_row=lo), full[lo:hi])
+            # a 256-row batch over 3 and 5 devices
+            a = rng.standard_normal((256, 100)) * np.exp(
+                rng.standard_normal((256, 1)) * 4)
+            weight = rng.standard_normal((257, 100))
+            full = matmul(a, weight.T)
+            for bounds in ([0, 86, 171, 256], [0, 52, 103, 154, 205, 256]):
+                for lo, hi in zip(bounds, bounds[1:]):
+                    assert np.array_equal(
+                        matmul(a[lo:hi], weight.T, first_row=lo), full[lo:hi])
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_criteo_width_row_shards(self, order):
         # 26 tables at d=16 make the top MLP's input 367 wide, a width that
-        # matmul pads; its backward product has N = 367
+        # matmul pads; its backward product has N = 367. Shards of a 256
+        # batch over 3 and 5 devices, each at its batch offset.
         width = interaction_width(16, 27)
         assert width == 367
         assert width % 8
@@ -156,8 +112,10 @@ class TestMatmul:
             rng.standard_normal((256, 1)) * 4)
         b = np.asarray(rng.standard_normal((512, width)), order=order)
         full = matmul(a, b)
-        for lo, hi in [(0, 86), (86, 171), (171, 256)]:
-            assert np.array_equal(matmul(a[lo:hi], b), full[lo:hi])
+        for bounds in ([0, 86, 171, 256], [0, 52, 103, 154, 205, 256]):
+            for lo, hi in zip(bounds, bounds[1:]):
+                assert np.array_equal(matmul(a[lo:hi], b, first_row=lo),
+                                      full[lo:hi])
 
     @pytest.mark.parametrize("n", [1, 7, 13, 100, 193, 200, 257, 367, 1023])
     def test_padded_columns_do_not_reach_the_result(self, n):

@@ -7,8 +7,7 @@ its metric log and of its checkpoint file must equal the entry recorded in
 accuracy, validation, parameters) fails here even when serial and N-device
 runs still agree with each other.
 
-The file also records the matmul tile height and the numpy and BLAS versions
-it was made under. A mismatch message names their recorded and current
+The file also records the numpy and BLAS versions it was made under. A mismatch message names their recorded and current
 values, so a changed environment can be told apart from a changed program.
 
 A change that alters bits on purpose rewrites the file and says why:
@@ -24,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from dlrmkit import cli
-from dlrmkit.dense import matmul_tile_rows
 
 FINGERPRINTS = Path(__file__).resolve().parent / "fingerprints.json"
 
@@ -62,8 +60,7 @@ RUNS = {
 def environment() -> dict:
     """The settings the bits depend on besides the program."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"matmul_tile_rows": matmul_tile_rows(),
-            "numpy": np.__version__,
+    return {"numpy": np.__version__,
             "blas": f"{blas['name']} {blas['version']}"}
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dlrmkit import parallel
-from dlrmkit.dense import LEVELS, RngStream, matmul_tile_rows
+from dlrmkit.dense import LEVELS, RngStream
 from dlrmkit.embedding import SparseBatch, lookup_batch, offsets_from_lengths
 from dlrmkit.model import DlrmConfig, init_model
 from dlrmkit.optim import make_optimizer
@@ -31,6 +31,7 @@ from oracles import (
     brute_force_min_max_load,
     dlrm_backward_ref,
     dlrm_forward_ref,
+    position_skewed_matmul,
     reduce_mlp_grads_ref,
 )
 
@@ -262,6 +263,22 @@ class TestSerialEquivalence:
         assert [trainer.step(*b).loss for b in batches] == serial_losses
         assert params_equal(serial, trainer)
 
+    def test_position_dependent_gemm_keeps_serial_bits(self, monkeypatch):
+        # a GEMM whose output rows pick up their position in the call:
+        # shard rows still land where the serial run puts them, so every
+        # device count gives the serial losses and parameters
+        monkeypatch.setattr(np, "matmul", position_skewed_matmul)
+        cfg = toy_config(seed=49)
+        batches = gen_batches(cfg, 9, 3, seed=59)
+        serial = init_model(cfg)
+        opt = make_optimizer("sgd", 0.1)
+        serial_losses = [train_step(serial, *b, opt).loss for b in batches]
+        for ndev in (2, 3, 5):
+            trainer = ParallelTrainer(init_model(cfg), make_plan(cfg, 9, ndev),
+                                      "sgd", 0.1)
+            assert [trainer.step(*b).loss for b in batches] == serial_losses
+            assert params_equal(serial, trainer)
+
     def test_accuracy_matches_too(self):
         cfg = toy_config(seed=46)
         batches = gen_batches(cfg, 8, 5, seed=57)
@@ -404,7 +421,7 @@ class TestStreamedReduction:
         bounds = shard_bounds(batch, ndev)
         shards = [parallel._forward_backward(
             model.bottom, model.top, dense_x[lo:hi], [e[lo:hi] for e in emb],
-            labels[lo:hi], batch, NullTimer())
+            labels[lo:hi], batch, lo, NullTimer())
             for lo, hi in zip(bounds, bounds[1:])]
         for which in ("bottom", "top"):
             traces = [getattr(r, f"{which}_traces") for r in shards]
@@ -494,7 +511,6 @@ class TestStreamedReduction:
         buffer = max(i * o * 8 for i, o in layers)
         slack = 64 * 1024
 
-        matmul_tile_rows()      # the once-per-process self-check
         assert (_peak(lambda: step(dense_x, sparse, labels))
                 <= mlp_grads + table_grads + slices + 2 * buffer + slack)
 
