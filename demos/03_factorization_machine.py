@@ -33,13 +33,15 @@ for n in (256, 1024, 4096):
     params = FmParams(0.0, rng.normal(1, n)[0], rng.normal(n, 16))
     xv = rng.normal(1, n)[0]
     reps = 50
+    # the naive path is O(n^2 d), so it repeats fewer times as n grows
+    naive_reps = max(1, reps * 256 ** 2 // n ** 2)
     t0 = time.perf_counter()
     for _ in range(reps):
         fm_predict(params, xv)
     fact = (time.perf_counter() - t0) / reps
     t0 = time.perf_counter()
-    for _ in range(reps):
+    for _ in range(naive_reps):
         fm_predict_naive(params, xv)
-    naive = (time.perf_counter() - t0) / reps
+    naive = (time.perf_counter() - t0) / naive_reps
     print(f"n={n:5d}: factorized {fact * 1e6:8.1f} us   "
           f"naive {naive * 1e6:10.1f} us   speedup {naive / fact:6.1f}x")

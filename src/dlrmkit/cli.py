@@ -186,6 +186,8 @@ def parse_args(argv) -> tuple[DlrmConfig, RunOptions]:
 
 
 def _validate(config: DlrmConfig, options: RunOptions) -> None:
+    if config.seed < 0:
+        raise CliError("--seed must be nonnegative")
     if options.mini_batch_size < 1:
         raise CliError("--mini-batch-size must be positive")
     if options.num_batches < 0:

@@ -167,6 +167,21 @@ def multihot_matrix(batch, num_rows):
     return a
 
 
+def lookup_batch_ref(table, batch):
+    """Pooled lookup segment by segment: each output row folds the gathered,
+    weighted table rows onto a zero row, one flat position at a time in
+    ascending order."""
+    out = np.zeros((batch.num_segments, table.dim))
+    for j in range(batch.num_segments):
+        seg = batch.segment_slice(j)
+        for pos in range(seg.start, seg.stop):
+            row = table.weights[batch.indices[pos]]
+            if batch.weights is not None:
+                row = row * batch.weights[pos]
+            out[j] += row
+    return out
+
+
 def lookup_backward_ref(table, batch, grad_out):
     """Sparse lookup gradient by ``np.unique`` and an unbuffered
     ``np.add.at``, which visits flat positions in ascending order, so each

@@ -113,6 +113,7 @@ class TestParse:
     @pytest.mark.parametrize("bad", [
         "--learning-rate=nan", "--learning-rate=inf",
         "--first-touch-boost=-1", "--eval-interval=-2", "--val-batches=-3",
+        "--seed=-1",
     ])
     def test_bad_flag_value_exits_2(self, capsys, bad):
         assert main(tiny_args(["--data-generation=synthetic", bad])) == 2

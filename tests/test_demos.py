@@ -1,5 +1,4 @@
-"""The demos run to completion in a fresh interpreter (all but demo 03,
-which takes far longer than the rest)."""
+"""The demos run to completion in a fresh interpreter."""
 
 import os
 import subprocess
@@ -21,7 +20,8 @@ def run_demo(name: str) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize("name", [
-    "01_dense_kernels.py", "02_embedding_lookups.py", "04_train_dlrm.py",
+    "01_dense_kernels.py", "02_embedding_lookups.py",
+    "03_factorization_machine.py", "04_train_dlrm.py",
     "05_synthetic_traces.py", "07_benchmark_cli.py"])
 def test_demo_exits_0(name):
     proc = run_demo(name)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from dlrmkit.embedding import (
 from oracles import (
     grad_rel_err,
     lookup_backward_ref,
+    lookup_batch_ref,
     matmul_ref,
     multihot_matrix,
 )
@@ -318,8 +321,25 @@ def _zipf_batch():
     return SparseBatch(offsets_from_lengths([50] * 80), idx)
 
 
+def _long_batch():
+    """160 segments of 1-100 lookups into 2000 rows, like a desk table's."""
+    rng = np.random.default_rng(93)
+    lengths = rng.integers(1, 101, 160)
+    return SparseBatch(offsets_from_lengths(lengths),
+                       rng.integers(0, 2000, int(lengths.sum())))
+
+
+def _lookup_table(m, d):
+    """The m x d table the forward byte test looks up: random rows, except
+    that every fifth row (0, 5, 10, ...) is -0.0."""
+    values = np.random.default_rng(m * 1000 + d).standard_normal((m, d))
+    values[::5] = -0.0
+    return EmbeddingTable(values)
+
+
 def _byte_cases():
-    """(table rows, dim, batch, grad_out) cases for the byte-identity test."""
+    """(table rows, dim, batch, grad_out) cases for the byte-identity
+    tests; the forward test looks up ``_lookup_table(m, d)``."""
     rng = np.random.default_rng(90)
 
     def random_batch(m, lengths, weighted=False):
@@ -363,6 +383,20 @@ def _byte_cases():
         pytest.param(6, 4,
                      SparseBatch(np.array([0, 0, 0]), np.empty(0, np.int64)),
                      rng.standard_normal((2, 4)), id="nnz-0"),
+        # one id per sample, as a Criteo categorical feature has
+        pytest.param(1000, 16,
+                     SparseBatch(np.arange(129), rng.integers(0, 1000, 128)),
+                     rng.standard_normal((128, 16)), id="criteo-length-1"),
+        # rows 0 and 5 of the looked-up table are -0.0: alone, repeated,
+        # mixed with other rows, and weighted by signed values and zeros
+        pytest.param(10, 3,
+                     SparseBatch(offsets_from_lengths([1, 2, 2, 3, 0, 2]),
+                                 np.array([0, 5, 0, 0, 1, 2, 5, 0, 5, 3]),
+                                 np.array([1.0, 1.0, 2.0, -1.0, 0.5, 1.0,
+                                           -0.0, 3.0, -2.0, 0.0])),
+                     rng.standard_normal((6, 3)), id="negative-zero-rows"),
+        pytest.param(2000, 8, _long_batch(), rng.standard_normal((160, 8)),
+                     id="long-segments"),
     ]
 
 
@@ -392,6 +426,42 @@ class TestLookupBackwardBytes:
         # still unfinished once fewer than _TAIL_ROWS remain
         assert counts[_TAIL_ROWS] >= 2
         assert counts[0] > counts[_TAIL_ROWS - 1] + 1
+
+
+class TestLookupBatchBytes:
+    """The run-folding lookup equals a per-segment fold bit for bit."""
+
+    @pytest.mark.parametrize("m, d, batch, grad_out", _byte_cases())
+    def test_same_bytes_as_segment_fold(self, m, d, batch, grad_out):
+        table = _lookup_table(m, d)
+        out = lookup_batch(table, batch)
+        ref = lookup_batch_ref(table, batch)
+        assert out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+
+    def test_long_case_reaches_rounds_and_tail(self):
+        lengths = np.sort(_long_batch().lengths())[::-1]
+        # rounds run (at least _TAIL_ROWS segments are live in round 0),
+        # and segments still have terms once fewer than that are live
+        assert lengths[_TAIL_ROWS - 1] >= 1
+        assert lengths[0] > lengths[_TAIL_ROWS - 1]
+
+    def test_peak_memory_is_about_the_output(self):
+        rng = np.random.default_rng(94)
+        m, d, t, k = 1000, 32, 64, 200
+        table = EmbeddingTable(rng.standard_normal((m, d)))
+        batch = SparseBatch(offsets_from_lengths([k] * t),
+                            rng.integers(0, m, t * k))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            lookup_batch(table, batch)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # gathering every looked-up row first would take t * k * d * 8
+        assert peak < t * k * d * 8 // 4
 
 
 class TestInitialize:
