@@ -34,9 +34,11 @@ plan = make_plan(cfg, batch_size=4, num_devices=2)
 rng = RngStream(1)
 per_table = {t: rng.normal(4, cfg.sparse_dim)
              for t in range(cfg.num_tables)}
+# slice t of device d comes from table t's owner and covers d's shard
 for dev, slices in enumerate(butterfly_shuffle(per_table, plan)):
-    desc = ", ".join(f"t{s.table_id}[{s.sample_range[0]}:{s.sample_range[1]}]"
-                     f"<-dev{s.source_device}" for s in slices)
+    lo, hi = plan.shard(dev)
+    desc = ", ".join(f"t{t}[{lo}:{hi}]<-dev{plan.table_assignment[t]}"
+                     for t in range(len(slices)))
     print(f"device {dev} receives: {desc}")
 
 

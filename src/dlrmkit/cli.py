@@ -53,7 +53,6 @@ __all__ = [
     "RunOptions",
     "RunReport",
     "parse_args",
-    "config_to_args",
     "run_training",
     "run_benchmark",
     "save_checkpoint",
@@ -73,6 +72,8 @@ class CliError(ValueError):
 
 @dataclass
 class RunOptions:
+    """Every option flag as the field of its name, with its one default."""
+
     mode: str = "train"
     data_generation: str = "random"
     mini_batch_size: int = 128
@@ -113,10 +114,14 @@ def _dash_ints(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The flags. An option flag left off the command line sets nothing, so
+    its ``RunOptions`` field keeps the default written there; only the
+    architecture flags and ``--seed`` have their defaults here."""
     p = argparse.ArgumentParser(
         prog="dlrmkit",
         description="recommendation-model kernel benchmark and trainer",
         exit_on_error=False,
+        argument_default=argparse.SUPPRESS,
     )
     p.add_argument("--arch-embedding-size", type=_dash_ints, default=[8, 8],
                    help="rows per embedding table, dash-separated")
@@ -125,62 +130,62 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bottom MLP dims incl. dense input width")
     p.add_argument("--arch-mlp-top", type=_dash_ints, default=[8, 4, 1],
                    help="top MLP dims excl. derived input width")
-    p.add_argument("--data-generation", default="random",
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--data-generation",
                    choices=["random", "synthetic", "criteo"])
-    p.add_argument("--mini-batch-size", type=int, default=128)
-    p.add_argument("--num-batches", type=int, default=10)
-    p.add_argument("--num-indices-per-lookup", type=int, default=4)
+    p.add_argument("--mini-batch-size", type=int)
+    p.add_argument("--num-batches", type=int)
+    p.add_argument("--num-indices-per-lookup", type=int)
     p.add_argument("--num-indices-per-lookup-fixed", action="store_true")
     p.add_argument("--enable-profiling", action="store_true")
-    p.add_argument("--optimizer", default="sgd", choices=["sgd", "adagrad"])
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--num-devices", type=int, default=1)
-    p.add_argument("--criteo-path", default=None)
-    p.add_argument("--criteo-val-path", default=None)
-    p.add_argument("--vocab-sizes", type=_dash_ints, default=None,
+    p.add_argument("--optimizer", choices=["sgd", "adagrad"])
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--num-devices", type=int)
+    p.add_argument("--criteo-path")
+    p.add_argument("--criteo-val-path")
+    p.add_argument("--vocab-sizes", type=_dash_ints,
                    help="hash moduli per categorical feature (criteo)")
-    p.add_argument("--emit", default="text", choices=["json", "text"])
-    p.add_argument("--mode", default="train", choices=["train", "benchmark"])
-    p.add_argument("--eval-interval", type=int, default=0)
-    p.add_argument("--val-batches", type=int, default=0)
-    p.add_argument("--save-checkpoint", default=None)
-    p.add_argument("--load-checkpoint", default=None)
-    p.add_argument("--synthetic-profiles", default=None,
+    p.add_argument("--emit", choices=["json", "text"])
+    p.add_argument("--mode", choices=["train", "benchmark"])
+    p.add_argument("--eval-interval", type=int)
+    p.add_argument("--val-batches", type=int,
+                   help="validation batches; drawn only with --eval-interval")
+    p.add_argument("--save-checkpoint")
+    p.add_argument("--load-checkpoint")
+    p.add_argument("--synthetic-profiles",
                    help="directory of per-table trace profiles "
                         "(table_<i>.profile); bootstrapped when absent")
-    p.add_argument("--first-touch-boost", type=float, default=10.0)
-    p.add_argument("--metrics-file", default=None)
-    p.add_argument("--report-file", default=None)
+    p.add_argument("--first-touch-boost", type=float)
+    p.add_argument("--metrics-file")
+    p.add_argument("--report-file")
     p.add_argument("--use-gpu", action="store_true",
                    help="accepted for command-line compatibility; ignored")
     return p
 
 
 def parse_args(argv) -> tuple[DlrmConfig, RunOptions]:
-    ns = build_parser().parse_args(argv)
-    if ns.arch_mlp_bot[-1] != ns.arch_sparse_feature_size:
+    given = vars(build_parser().parse_args(argv))
+    bottom, top = given.pop("arch_mlp_bot"), given.pop("arch_mlp_top")
+    sparse_dim = given.pop("arch_sparse_feature_size")
+    if bottom[-1] != sparse_dim:
         raise CliError(
-            f"--arch-mlp-bot last dim ({ns.arch_mlp_bot[-1]}) must equal "
-            f"--arch-sparse-feature-size ({ns.arch_sparse_feature_size})"
+            f"--arch-mlp-bot last dim ({bottom[-1]}) must equal "
+            f"--arch-sparse-feature-size ({sparse_dim})"
         )
-    if ns.arch_mlp_top[-1] != 1:
-        raise CliError(
-            f"--arch-mlp-top must end in 1, got {ns.arch_mlp_top[-1]}"
-        )
+    if top[-1] != 1:
+        raise CliError(f"--arch-mlp-top must end in 1, got {top[-1]}")
     try:
         config = DlrmConfig(
-            embedding_sizes=ns.arch_embedding_size,
-            sparse_dim=ns.arch_sparse_feature_size,
-            bottom_mlp_dims=ns.arch_mlp_bot,
-            top_mlp_dims=ns.arch_mlp_top,
-            seed=ns.seed,
+            embedding_sizes=given.pop("arch_embedding_size"),
+            sparse_dim=sparse_dim,
+            bottom_mlp_dims=bottom,
+            top_mlp_dims=top,
+            seed=given.pop("seed"),
         )
     except ValueError as e:
         raise CliError(str(e)) from e
-    # every RunOptions field is the destination of the flag of that name
-    options = RunOptions(**{f.name: getattr(ns, f.name)
-                            for f in dataclasses.fields(RunOptions)})
+    # every other flag given sets the RunOptions field of its name
+    options = RunOptions(**given)
     _validate(config, options)
     return config, options
 
@@ -259,34 +264,6 @@ def _validate(config: DlrmConfig, options: RunOptions) -> None:
             raise CliError(
                 "--vocab-sizes entries must not exceed the table sizes"
             )
-
-
-def config_to_args(config: DlrmConfig, options: RunOptions) -> list[str]:
-    """Serialize back to a flag list; parse_args of the result round-trips.
-
-    Every RunOptions field is written as the flag of that name: booleans
-    as bare flags when set, lists joined with dashes, ``None`` omitted.
-    """
-    def dashes(values):
-        return "-".join(str(v) for v in values)
-
-    argv = [
-        f"--arch-embedding-size={dashes(config.embedding_sizes)}",
-        f"--arch-sparse-feature-size={config.sparse_dim}",
-        f"--arch-mlp-bot={dashes(config.bottom_mlp_dims)}",
-        f"--arch-mlp-top={dashes(config.top_mlp_dims)}",
-        f"--seed={config.seed}",
-    ]
-    for f in dataclasses.fields(RunOptions):
-        flag, value = "--" + f.name.replace("_", "-"), getattr(options, f.name)
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        elif isinstance(value, list):
-            argv.append(f"{flag}={dashes(value)}")
-        elif value is not None:
-            argv.append(f"{flag}={value}")
-    return argv
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +380,16 @@ class _CriteoSource:
         return dense, sparse, np.array(labels)
 
 
-def make_source(config: DlrmConfig, options: RunOptions, key: int = 0,
-                validation: bool = False):
-    if validation and options.data_generation == "criteo":
-        return _CriteoSource(config, options, options.criteo_val_path)
+def make_source(config: DlrmConfig, options: RunOptions, key: int = 0):
+    """The batch source of ``options.data_generation``: key 0 is the
+    training stream and key 1 the validation stream (in criteo mode, the
+    files ``--criteo-path`` and ``--criteo-val-path``)."""
     if options.data_generation == "random":
         return _RandomSource(config, options, key)
     if options.data_generation == "synthetic":
         return _SyntheticSource(config, options, key)
-    return _CriteoSource(config, options, options.criteo_path)
+    return _CriteoSource(config, options, options.criteo_val_path if key
+                         else options.criteo_path)
 
 
 # ---------------------------------------------------------------------------
@@ -573,14 +551,14 @@ def _evaluate(model: DlrmModel, eval_batches) -> tuple[float, float]:
 
 
 def _eval_batches(config: DlrmConfig, options: RunOptions) -> list:
-    if options.criteo_val_path and options.data_generation == "criteo":
-        source = make_source(config, options, validation=True)
-        count = max(1, options.val_batches)
-    elif options.val_batches > 0:
-        source = make_source(config, options, key=1)
-        count = options.val_batches
-    else:
+    """The validation batches, drawn once from the key-1 source; none when
+    --eval-interval is 0, since no record reads them then."""
+    if not options.eval_interval:
         return []
+    count = options.val_batches
+    if options.data_generation == "criteo":
+        count = max(1, count)   # --criteo-val-path alone asks for one batch
+    source = make_source(config, options, key=1)
     return [source.next_batch() for _ in range(count)]
 
 
@@ -631,8 +609,7 @@ def _run(config: DlrmConfig, options: RunOptions,
         except FloatingPointError as e:
             raise CliError(f"iteration {it}: {e}") from e
         record(it, "train", result.loss, result.accuracy)
-        if (options.eval_interval and eval_batches
-                and (it + 1) % options.eval_interval == 0):
+        if eval_batches and (it + 1) % options.eval_interval == 0:
             record(it, "validation", *_evaluate(model, eval_batches))
     report.wall_seconds = time.perf_counter() - t0
     if options.enable_profiling:

@@ -155,9 +155,9 @@ class Adagrad:
                           self.lr, self.eps)
 
 
-def make_optimizer(name: str, lr: float, eps: float = 1e-10):
+def make_optimizer(name: str, lr: float):
     if name == "sgd":
         return Sgd(lr)
     if name == "adagrad":
-        return Adagrad(lr, eps)
+        return Adagrad(lr)
     raise ValueError(f"unknown optimizer: {name!r}")

@@ -75,7 +75,6 @@ from .timing import NullTimer
 
 __all__ = [
     "DevicePlan",
-    "ShuffleSlice",
     "CommLog",
     "StepResult",
     "partition_tables",
@@ -165,14 +164,6 @@ def make_plan(config: DlrmConfig, batch_size: int,
 # collectives (simulated by explicit buffer hand-off)
 
 @dataclass
-class ShuffleSlice:
-    source_device: int
-    table_id: int
-    sample_range: tuple[int, int]
-    values: Matrix
-
-
-@dataclass
 class CommLog:
     """Per-step record of simulated collective traffic."""
 
@@ -184,13 +175,15 @@ class CommLog:
 
 def butterfly_shuffle(per_table_outputs: dict[int, Matrix], plan: DevicePlan,
                       comm: CommLog | None = None, step: int = 0
-                      ) -> list[list[ShuffleSlice]]:
+                      ) -> list[list[Matrix]]:
     """Redistribute per-table full-batch lookup results into per-device,
     all-table batch shards.
 
     Input: table id -> (batch x d) matrix, resident on the owning device.
-    Output: for each device, one slice per table (ascending table id)
-    covering that device's sample range, tagged with its source device.
+    Output: for each device, one slice per table in ascending table id,
+    holding the rows of that device's shard. The plan says where each came
+    from: slice t of device d was sent by device ``plan.table_assignment[t]``
+    and covers the samples ``plan.shard(d)``.
     """
     for t in per_table_outputs:
         if per_table_outputs[t].shape[0] != plan.batch_size:
@@ -200,27 +193,27 @@ def butterfly_shuffle(per_table_outputs: dict[int, Matrix], plan: DevicePlan,
             )
     if set(per_table_outputs) != set(range(len(plan.table_assignment))):
         raise ValueError("per-table outputs do not match the plan's tables")
-    out: list[list[ShuffleSlice]] = [[] for _ in range(plan.num_devices)]
+    out: list[list[Matrix]] = [[] for _ in range(plan.num_devices)]
     moved = 0
     for dst in range(plan.num_devices):
         lo, hi = plan.shard(dst)
         for t in sorted(per_table_outputs):
-            src = plan.table_assignment[t]
             values = per_table_outputs[t][lo:hi]
-            out[dst].append(ShuffleSlice(src, t, (lo, hi), values))
-            if src != dst:
+            out[dst].append(values)
+            if plan.table_assignment[t] != dst:
                 moved += values.nbytes
     if comm is not None:
         comm.add(step, "butterfly_shuffle", moved, plan.num_devices)
     return out
 
 
-def inverse_shuffle(per_device_grads: list[dict[int, Matrix]],
+def inverse_shuffle(per_device_grads: list[list[Matrix]],
                     plan: DevicePlan, comm: CommLog | None = None,
                     step: int = 0) -> dict[int, Matrix]:
     """Route per-shard embedding gradients back to table owners.
 
-    Input: per device, table id -> (shard x d) gradient slice. Output: table
+    Input: per device, one (shard x d) gradient slice per table in
+    ascending table id, as ``butterfly_shuffle`` hands them out. Output: table
     id -> full (batch x d) gradient, rows concatenated in ascending device
     (= sample) order on the owner.
     """
@@ -350,18 +343,18 @@ def _require_finite(values, what: str) -> None:
 
 
 def _reduce_mlp_grads(traces_per_dev: list[list[tuple]], n_total: int,
-                      bounds: list[int] | None = None, which: str = "MLP"
+                      bounds: list[int], which: str
                       ) -> tuple[MlpGrads, int, int]:
     """Exact full-batch gradients of one MLP (``which``, as errors name it)
     from every device's per-layer ``mlp_backward_trace`` entries, plus the
     per-replica payload bytes of the stat and component allreduces.
 
-    ``bounds`` are the devices' shard bounds, ``shard_bounds(n_total, P)``
-    by default. Per layer: allreduce of the local column abs-maxima (the
-    shared grids); one full-batch buffer per slice level for each operand,
-    into whose rows ``[lo_d, hi_d)`` each device snaps its shard
-    (``layer_grad_components``, under ``_guard``, in ascending device
-    order), after its trace's row count is checked against its shard; then
+    ``bounds`` are the devices' shard bounds. Per layer: allreduce of the
+    local column abs-maxima (the shared grids); one full-batch buffer per
+    slice level for each operand, into whose rows ``[lo_d, hi_d)`` each
+    device snaps its shard (``layer_grad_components``, under ``_guard``, in
+    ascending device order), after its trace's row count is checked against
+    its shard; then
     one product per slice pair (bucket) and one column sum per bias level
     over the stacked rows, each folded into the gradient as soon as it is
     made (``sum_components``). Every partial sum of slice products is
@@ -381,7 +374,6 @@ def _reduce_mlp_grads(traces_per_dev: list[list[tuple]], n_total: int,
     none are left when this returns. Callers that need the traces
     afterwards pass copies of the lists.
     """
-    bounds = bounds or shard_bounds(n_total, len(traces_per_dev))
     levels = dense.LEVELS
     shapes = [(t[3].size, t[2].size) for t in traces_per_dev[0]]
     # Every weight gradient is allocated before any layer's slices, so each
@@ -471,8 +463,7 @@ def _step(tables: list, replicas: list[tuple[MlpParams, MlpParams]],
     # phase 3: the shared forward/backward on each device's shard
     def local(d):
         lo, hi = plan.shard(d)
-        emb = [s.values for s in shuffled[d]]   # ascending table id
-        return _forward_backward(*replicas[d], dense_x[lo:hi], emb,
+        return _forward_backward(*replicas[d], dense_x[lo:hi], shuffled[d],
                                  labels[lo:hi], n_total, lo, timer)
     shards = [_guard(local, d) for d in devices]
     del per_table, shuffled     # the lookups' last readers are done
@@ -509,9 +500,8 @@ def _step(tables: list, replicas: list[tuple[MlpParams, MlpParams]],
 
     # phase 5: embedding gradients return to their owners
     with timer.section("shuffle"):
-        full_emb_grads = inverse_shuffle(
-            [dict(enumerate(r.emb_grads)) for r in shards], plan, comm,
-            step_idx)
+        full_emb_grads = inverse_shuffle([r.emb_grads for r in shards], plan,
+                                         comm, step_idx)
         del shards
     with timer.section("embedding_lookup"):
         table_grads = {}
@@ -559,8 +549,7 @@ class ParallelTrainer:
     """
 
     def __init__(self, model: DlrmModel, plan: DevicePlan,
-                 optimizer_name: str = "sgd", lr: float = 0.1,
-                 eps: float = 1e-10):
+                 optimizer_name: str = "sgd", lr: float = 0.1):
         plan.validate()
         if len(plan.table_assignment) != model.config.num_tables:
             raise ValueError("plan does not cover the model's tables")
@@ -570,7 +559,7 @@ class ParallelTrainer:
         self.replicas += [(model.bottom.copy(), model.top.copy())
                           for _ in range(plan.num_devices - 1)]
         self.tables = model.tables
-        self.optimizers = [make_optimizer(optimizer_name, lr, eps)
+        self.optimizers = [make_optimizer(optimizer_name, lr)
                            for _ in range(plan.num_devices)]
         self.comm = CommLog()
         self.step_count = 0
@@ -590,11 +579,6 @@ class ParallelTrainer:
                        batches, labels, timer or NullTimer())
         self.step_count += 1
         return result
-
-    # -- inspection ----------------------------------------------------------
-
-    def replica_params(self, device: int = 0) -> tuple[MlpParams, MlpParams]:
-        return self.replicas[device]
 
     def max_replica_divergence(self) -> float:
         """Max abs difference between replica 0 and any other replica."""

@@ -248,7 +248,7 @@ def test_criterion_09_parallel_serial_equivalence():
     serial_losses = [train_step(serial, *b, opt).loss for b in data]
 
     def final_params(trainer):
-        bottom, top = trainer.replica_params(0)
+        bottom, top = trainer.replicas[0]
         arrays = []
         for mlp in (bottom, top):
             for layer in mlp.layers:

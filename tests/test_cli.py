@@ -13,7 +13,7 @@ import pytest
 from dlrmkit import cli
 from dlrmkit.cli import (
     CliError,
-    config_to_args,
+    RunOptions,
     load_checkpoint,
     main,
     make_source,
@@ -70,27 +70,41 @@ class TestParse:
             parse_args(["--arch-embedding-size=8-8",
                         "--num-indices-per-lookup=9"])
 
-    def test_round_trip_identity(self):
-        config, options = parse_args(
-            FOOTNOTE_CMD.split() + ["--optimizer=adagrad", "--seed=7",
-                                    "--emit=json", "--num-devices=4",
-                                    "--num-indices-per-lookup-fixed"])
-        config2, options2 = parse_args(config_to_args(config, options))
-        assert config == config2
-        assert options == options2
-
-    def test_round_trip_keeps_every_option(self):
-        config, options = parse_args(tiny_args([
-            "--use-gpu", "--enable-profiling", "--data-generation=synthetic",
-            "--synthetic-profiles=profiles", "--first-touch-boost=2.5",
-            "--mode=benchmark", "--metrics-file=m.jsonl",
-            "--report-file=r.txt", "--save-checkpoint=c.ckpt",
-            "--load-checkpoint=b.ckpt", "--eval-interval=2",
-            "--val-batches=1", "--learning-rate=0.05"]))
-        assert options.use_gpu
-        config2, options2 = parse_args(config_to_args(config, options))
-        assert config == config2
-        assert options == options2
+    def test_each_option_flag_sets_the_field_of_its_name(self, tmp_path):
+        # one value, none of them the default, for every RunOptions field;
+        # the criteo shape lets all of them pass the checks at once
+        values = {
+            "mode": "benchmark", "data_generation": "criteo",
+            "mini_batch_size": 16, "num_batches": 3,
+            "num_indices_per_lookup": 7,
+            "num_indices_per_lookup_fixed": True, "enable_profiling": True,
+            "optimizer": "adagrad", "learning_rate": 0.25, "num_devices": 2,
+            "criteo_path": "day.txt", "criteo_val_path": "val.txt",
+            "vocab_sizes": [30] * 26, "emit": "json", "eval_interval": 2,
+            "val_batches": 1, "save_checkpoint": str(tmp_path / "c.ckpt"),
+            "load_checkpoint": "b.ckpt", "synthetic_profiles": "profiles",
+            "first_touch_boost": 2.5,
+            "metrics_file": str(tmp_path / "m.jsonl"),
+            "report_file": str(tmp_path / "r.txt"), "use_gpu": True,
+        }
+        defaults = RunOptions()
+        assert set(values) == set(vars(defaults))
+        argv = list(CRITEO_SHAPE)
+        for name, value in values.items():
+            flag = "--" + name.replace("_", "-")
+            if value is True:
+                argv.append(flag)
+            elif isinstance(value, list):
+                argv.append(f"{flag}={'-'.join(map(str, value))}")
+            else:
+                argv.append(f"{flag}={value}")
+        _, options = parse_args(argv)
+        for name, value in values.items():
+            assert getattr(options, name) == value
+            assert getattr(defaults, name) != value
+        # no option flag: every field keeps its RunOptions default
+        assert parse_args(CRITEO_SHAPE[:4])[1] == defaults
+        assert parse_args([])[1] == defaults
 
     def test_criteo_requires_path_and_shape(self):
         with pytest.raises(CliError, match="criteo-path"):
@@ -113,11 +127,26 @@ class TestParse:
     @pytest.mark.parametrize("bad", [
         "--learning-rate=nan", "--learning-rate=inf",
         "--first-touch-boost=-1", "--eval-interval=-2", "--val-batches=-3",
-        "--seed=-1",
+        "--seed=-1", "--mini-batch-size=0", "--num-batches=-1",
+        "--num-devices=0", "--num-devices=9", "--num-indices-per-lookup=0",
+        pytest.param("--vocab-sizes=" + "-".join(["40"] * 25),
+                     id="--vocab-sizes=25-entries"),
+        pytest.param("--vocab-sizes=" + "-".join(["41"] + ["40"] * 25),
+                     id="--vocab-sizes=above-table-size"),
     ])
     def test_bad_flag_value_exits_2(self, capsys, bad):
-        assert main(tiny_args(["--data-generation=synthetic", bad])) == 2
+        # the batch is 8; --vocab-sizes is checked in criteo mode only
+        mode = ["--data-generation=synthetic"]
+        if bad.startswith("--vocab-sizes"):
+            mode = [*CRITEO_SHAPE, "--criteo-path=day.txt"]
+        assert main(tiny_args([*mode, bad])) == 2
         assert bad.split("=")[0] in capsys.readouterr().err
+
+
+# 26 tables of 40 rows under a 13-wide dense input, as criteo mode needs
+CRITEO_SHAPE = ["--arch-embedding-size=" + "-".join(["40"] * 26),
+                "--arch-sparse-feature-size=4", "--arch-mlp-bot=13-4",
+                "--arch-mlp-top=6-1", "--data-generation=criteo"]
 
 
 def tiny_args(extra=()):
@@ -185,6 +214,22 @@ class TestRunTraining:
         report, _ = run_training(config, options)
         splits = [r["split"] for r in report.records]
         assert splits.count("validation") == 2
+
+    def test_no_validation_batches_without_eval_interval(self, monkeypatch):
+        # --val-batches alone draws nothing: no record would read it
+        keys = []
+        real = cli.make_source
+
+        def recording(config, options, key=0):
+            keys.append(key)
+            return real(config, options, key)
+
+        monkeypatch.setattr(cli, "make_source", recording)
+        config, options = parse_args(tiny_args(
+            ["--data-generation=synthetic", "--val-batches=1"]))
+        report, _ = run_training(config, options)
+        assert keys == [0]
+        assert {r["split"] for r in report.records} == {"train"}
 
     def test_teacher_student_loss_decreases(self):
         # planted-model smoke: labels from a frozen, confident random model
@@ -320,6 +365,32 @@ class TestCheckpoint:
         path.write_bytes(tampered)
         with pytest.raises(CliError, match="version"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("damage", ["magic", "digest", "shape"])
+    def test_rejected_checkpoint_exits_1(self, tmp_path, capsys, monkeypatch,
+                                         damage):
+        config, _ = parse_args(tiny_args())
+        path = tmp_path / "m.ckpt"
+        if damage == "shape":
+            savez = np.savez
+            monkeypatch.setattr(np, "savez", lambda f, **arrays: savez(
+                f, **{**arrays, "table_1": arrays["table_1"][:-1]}))
+        save_checkpoint(str(path), init_model(config))
+        monkeypatch.undo()
+        header, payload = path.read_bytes().split(b"\n", 1)
+        if damage == "magic":
+            header = header.replace(b"DLRMKIT1", b"DLRMKIT2")
+        elif damage == "digest":
+            header = header[:-64] + b"0" * 64
+        path.write_bytes(header + b"\n" + payload)
+        assert main(tiny_args([f"--load-checkpoint={path}",
+                               "--num-batches=1"])) == 1
+        want = {"magic": "not a DLRMKIT1 checkpoint",
+                "digest": "checkpoint config digest mismatch",
+                "shape": "array table_1 has shape (8, 4), expected (9, 4)"}
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert want[damage] in err
 
     def test_training_resume_flags(self, tmp_path):
         ckpt = tmp_path / "m.ckpt"
@@ -675,6 +746,29 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == ""  # no batch ran
         assert err == f"error: {flag}: directory of {path} does not exist\n"
+
+    def test_text_profiling_report(self, tmp_path, capsys):
+        report = tmp_path / "report.txt"
+        assert main(tiny_args(["--num-batches=2", "--num-devices=2",
+                               "--enable-profiling", "--use-gpu",
+                               f"--report-file={report}"])) == 0
+        out, err = capsys.readouterr()
+        assert err == ("note: --use-gpu is accepted for compatibility and "
+                       "ignored\n")
+        lines = out.splitlines()
+        assert lines[0].startswith("iteration 0 split train loss ")
+        assert lines[2].startswith("wall clock: ")
+        assert lines[3] == "operator                seconds    share"
+        rows = lines[4:12]
+        assert {row.split()[0] for row in rows} == {
+            "embedding_lookup", "shuffle", "bottom_mlp", "interaction",
+            "top_mlp", "loss", "optimizer", "datagen"}
+        assert all(row.endswith("%") for row in rows)
+        assert lines[12].startswith("attributed: ")
+        assert lines[13] == "step, collective, bytes, participants"
+        assert lines[-1].startswith("1, grad_reverse_shuffle, ")
+        # the file holds the report and then the comm table, as printed
+        assert report.read_text() == "\n".join(lines[2:]) + "\n"
 
     def test_report_and_metric_files(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.jsonl"

@@ -33,3 +33,8 @@ def test_parallel_demo_matches_serial():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("bit-identical to serial -> True") == 3
     assert "False" not in proc.stdout
+    # the 4-row batch on 2 devices, tables 1 and 2 owned by device 1
+    assert ("device 0 receives: t0[0:2]<-dev0, t1[0:2]<-dev1, "
+            "t2[0:2]<-dev1, t3[0:2]<-dev0\n"
+            "device 1 receives: t0[2:4]<-dev0, t1[2:4]<-dev1, "
+            "t2[2:4]<-dev1, t3[2:4]<-dev0\n") in proc.stdout

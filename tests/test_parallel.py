@@ -58,7 +58,7 @@ def gen_batches(cfg, batch, steps, seed):
 
 
 def params_equal(serial_model, trainer):
-    b0, t0 = trainer.replica_params(0)
+    b0, t0 = trainer.replicas[0]
     for ref, got in ((serial_model.bottom, b0), (serial_model.top, t0)):
         for lr, lg in zip(ref.layers, got.layers):
             if not (np.array_equal(lr.weight, lg.weight)
@@ -138,8 +138,7 @@ class TestButterflyShuffle:
         shuffled = butterfly_shuffle(outs, plan)
         assert len(shuffled) == 1
         for t, s in enumerate(shuffled[0]):
-            assert s.source_device == 0
-            assert np.array_equal(s.values, outs[t])
+            assert np.array_equal(s, outs[t])
 
     def test_two_devices_two_tables_hand_enumerated(self):
         plan = DevicePlan(2, [0, 1], [0, 2, 4])
@@ -148,15 +147,11 @@ class TestButterflyShuffle:
         comm = CommLog()
         shuffled = butterfly_shuffle(outs, plan, comm, step=0)
         # device 0: table-0 rows 0-1 (local) + table-1 rows 0-1 (from dev 1)
-        assert np.array_equal(shuffled[0][0].values, outs[0][0:2])
-        assert shuffled[0][0].source_device == 0
-        assert np.array_equal(shuffled[0][1].values, outs[1][0:2])
-        assert shuffled[0][1].source_device == 1
+        assert np.array_equal(shuffled[0][0], outs[0][0:2])
+        assert np.array_equal(shuffled[0][1], outs[1][0:2])
         # device 1 is symmetric
-        assert np.array_equal(shuffled[1][0].values, outs[0][2:4])
-        assert shuffled[1][0].source_device == 0
-        assert np.array_equal(shuffled[1][1].values, outs[1][2:4])
-        assert shuffled[1][1].source_device == 1
+        assert np.array_equal(shuffled[1][0], outs[0][2:4])
+        assert np.array_equal(shuffled[1][1], outs[1][2:4])
         # off-device traffic: two 2x3 float64 slices
         assert comm.entries[0][2] == 2 * 2 * 3 * 8
 
@@ -167,11 +162,11 @@ class TestButterflyShuffle:
         outs = {t: rng.normal(7, 2) for t in range(3)}
         shuffled = butterfly_shuffle(outs, plan)
         seen = set()
-        for dev_slices in shuffled:
-            for s in dev_slices:
-                lo, hi = s.sample_range
+        for dev, dev_slices in enumerate(shuffled):
+            lo, hi = plan.shard(dev)
+            for t, s in enumerate(dev_slices):
                 for row in range(lo, hi):
-                    key = (s.table_id, row, s.values[row - lo].tobytes())
+                    key = (t, row, s[row - lo].tobytes())
                     assert key not in seen
                     seen.add(key)
         expect = {(t, r, outs[t][r].tobytes())
@@ -314,7 +309,7 @@ class TestInPlace:
         for b in batches:
             trainer.step(*b)
         assert trainer.tables is model.tables
-        bottom, top = trainer.replica_params(0)
+        bottom, top = trainer.replicas[0]
         assert bottom is model.bottom and top is model.top
         for want, got in zip(model_arrays(serial), model_arrays(model),
                              strict=True):
@@ -427,7 +422,8 @@ class TestStreamedReduction:
             traces = [getattr(r, f"{which}_traces") for r in shards]
             want_w, want_b, want_stat, want_grad = reduce_mlp_grads_ref(
                 traces, batch)
-            grads, stat, grad = parallel._reduce_mlp_grads(traces, batch)
+            grads, stat, grad = parallel._reduce_mlp_grads(
+                traces, batch, bounds, f"{which} MLP")
             assert _bits(grads.weights) == _bits(want_w)
             assert _bits(grads.biases) == _bits(want_b)
             assert (stat, grad) == (want_stat, want_grad)
@@ -447,7 +443,7 @@ class TestStreamedReduction:
         want_w, want_b, want_stat, want_grad = reduce_mlp_grads_ref(
             _layer_traces(x, gz, ndev), n)
         grads, stat, grad = parallel._reduce_mlp_grads(
-            _layer_traces(x, gz, ndev), n)
+            _layer_traces(x, gz, ndev), n, shard_bounds(n, ndev), "MLP")
         assert _bits(grads.weights) == _bits(want_w)
         assert _bits(grads.biases) == _bits(want_b)
         assert (stat, grad) == (want_stat, want_grad)
@@ -470,7 +466,8 @@ class TestStreamedReduction:
 
         def bucketed(ndev):
             t = _layer_traces(x, gz, ndev)
-            return _peak(lambda: parallel._reduce_mlp_grads(t, n))
+            return _peak(lambda: parallel._reduce_mlp_grads(
+                t, n, shard_bounds(n, ndev), "MLP"))
 
         one, four = bucketed(1), bucketed(4)
         assert one >= slices + buffer       # numpy allocations are traced
@@ -553,7 +550,7 @@ class TestErrors:
             traces, grad_x = real(params, cache, grad_y)
             calls.append(params)
             if len(calls) == 5:     # device 2's top MLP sweep
-                assert params is trainer.replica_params(2)[1]
+                assert params is trainer.replicas[2][1]
                 x, gz, x_max, gz_max = traces[1]
                 traces[1] = (x[:-1], gz[:-1], x_max, gz_max)
             return traces, grad_x
