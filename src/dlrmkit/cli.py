@@ -444,9 +444,14 @@ def format_report(report: RunReport, emit: str) -> str:
 # ---------------------------------------------------------------------------
 # checkpoints
 
+def _config_json(config: DlrmConfig) -> str:
+    """The stored config: its fields plus the interaction v1 files name."""
+    return json.dumps({**dataclasses.asdict(config), "interaction": "dot"},
+                      sort_keys=True)
+
+
 def _config_digest(config: DlrmConfig) -> str:
-    blob = json.dumps(dataclasses.asdict(config), sort_keys=True)
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+    return hashlib.sha256(_config_json(config).encode("ascii")).hexdigest()
 
 
 def _named_params(model: DlrmModel):
@@ -467,8 +472,7 @@ def save_checkpoint(path: str, model: DlrmModel) -> None:
     """
     arrays = {
         "config_json": np.frombuffer(
-            json.dumps(dataclasses.asdict(model.config),
-                       sort_keys=True).encode("ascii"), dtype=np.uint8),
+            _config_json(model.config).encode("ascii"), dtype=np.uint8),
         **dict(_named_params(model)),
     }
     tmp = f"{path}.tmp"
@@ -510,6 +514,9 @@ def _read_checkpoint(path: str) -> DlrmModel:
     if not isinstance(payload, np.lib.npyio.NpzFile):
         raise ValueError("payload is not an npz archive")
     cfg_dict = json.loads(bytes(payload["config_json"]).decode("ascii"))
+    interaction = cfg_dict.pop("interaction", None)
+    if interaction != "dot":
+        raise CliError(f"{path}: unsupported interaction {interaction!r}")
     config = DlrmConfig(**cfg_dict)
     if _config_digest(config) != header[2]:
         raise CliError(f"{path}: checkpoint config digest mismatch")

@@ -1,7 +1,8 @@
 """The recommendation model: bottom MLP over dense features, pooled embedding
-lookups, pairwise dot-product feature interaction, top MLP, sigmoid output,
-binary cross-entropy loss; plus a factorization-machine reference predictor
-and an analytic parameter counter.
+lookups, pairwise dot-product feature interaction (the upper triangle of
+each sample's Gram product), top MLP, sigmoid output, binary cross-entropy
+loss; plus a factorization-machine reference predictor and an analytic
+parameter counter.
 
 Weight-gradient reductions over the mini-batch go through the grid-component
 scheme in :mod:`dlrmkit.dense`, which is what lets the data-parallel simulator
@@ -218,57 +219,55 @@ def interaction_width(sparse_dim: int, num_features: int) -> int:
     return sparse_dim + num_features * (num_features - 1) // 2
 
 
-def interact(dense_repr: Matrix, emb_outputs: list[Matrix]) -> Matrix:
-    """Concat(dense vector, dot(z_i, z_j) for all 0 <= i < j < n_f).
-
-    Feature 0 is the processed dense vector; features 1..n_f-1 are the
-    embedding outputs. Pair order is row-major over (i, j) with i < j; no
-    self-interactions.
-    """
-    feats = [np.asarray(dense_repr, dtype=np.float64)] + [
-        np.asarray(z, dtype=np.float64) for z in emb_outputs
-    ]
-    b, d = feats[0].shape
+def _stack_features(dense_repr: Matrix, emb_outputs: list[Matrix]
+                    ) -> np.ndarray:
+    """The interaction's features as one (batch, f, d) stack: feature 0 is
+    the processed dense vector, features 1..f-1 the embedding outputs. A
+    feature whose shape is not the dense vector's (batch, d) raises
+    ValueError naming it."""
+    feats = [np.asarray(z, dtype=np.float64)
+             for z in [dense_repr, *emb_outputs]]
     for k, z in enumerate(feats):
-        if z.shape != (b, d):
+        if z.ndim != 2 or z.shape != feats[0].shape:
             raise ValueError(
-                f"interaction input {k} has shape {z.shape}, expected {(b, d)}"
+                f"interaction input {k} has shape {z.shape}, expected "
+                f"(batch, d) = {feats[0].shape}"
             )
-    nf = len(feats)
-    out = np.empty((b, interaction_width(d, nf)))
-    out[:, :d] = feats[0]
-    col = d
-    for i in range(nf):
-        for j in range(i + 1, nf):
-            out[:, col] = (feats[i] * feats[j]).sum(axis=1)
-            col += 1
-    return out
+    return np.stack(feats, axis=1)
+
+
+def interact(dense_repr: Matrix, emb_outputs: list[Matrix]) -> Matrix:
+    """Concat(dense vector, dot(z_i, z_j) for all 0 <= i < j < f).
+
+    Feature 0 is the processed dense vector; features 1..f-1 are the
+    embedding outputs. The dots are the upper triangle of each sample's Gram
+    product ``Z Z^T`` over its (f, d) feature stack, in row-major (i, j)
+    order with i < j. Each sample's product is its own BLAS call, so a row
+    slice of a batch gets the bits of the same rows of the batch.
+    """
+    feats = _stack_features(dense_repr, emb_outputs)
+    i, j = np.triu_indices(feats.shape[1], k=1)
+    gram = np.matmul(feats, feats.transpose(0, 2, 1))
+    return np.concatenate([feats[:, 0], gram[:, i, j]], axis=1)
 
 
 def interact_backward(dense_repr: Matrix, emb_outputs: list[Matrix],
                       grad_out: Matrix) -> tuple[Matrix, list[Matrix]]:
-    """Adjoint of interact: grad z_i += sum_j g_ij * z_j, plus the dense slice."""
-    feats = [np.asarray(dense_repr, dtype=np.float64)] + [
-        np.asarray(z, dtype=np.float64) for z in emb_outputs
-    ]
-    b, d = feats[0].shape
-    nf = len(feats)
+    """Adjoint of interact: with P the pair gradients above the diagonal of
+    an (f, f) matrix per sample, grad Z = (P + P^T) Z, plus the dense slice
+    on feature 0. Returns the dense vector's gradient and one per table."""
+    feats = _stack_features(dense_repr, emb_outputs)
+    b, nf, d = feats.shape
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (b, interaction_width(d, nf)):
-        raise ValueError(
-            f"grad_out shape {grad_out.shape}, expected "
-            f"{(b, interaction_width(d, nf))}"
-        )
-    grads = [np.zeros((b, d)) for _ in range(nf)]
-    grads[0] += grad_out[:, :d]
-    col = d
-    for i in range(nf):
-        for j in range(i + 1, nf):
-            g = grad_out[:, col][:, None]
-            grads[i] += g * feats[j]
-            grads[j] += g * feats[i]
-            col += 1
-    return grads[0], grads[1:]
+    want = (b, interaction_width(d, nf))
+    if grad_out.shape != want:
+        raise ValueError(f"grad_out shape {grad_out.shape}, expected {want}")
+    i, j = np.triu_indices(nf, k=1)
+    pairs = np.zeros((b, nf, nf))
+    pairs[:, i, j] = grad_out[:, d:]
+    grads = np.matmul(pairs + pairs.transpose(0, 2, 1), feats)
+    grads[:, 0] += grad_out[:, :d]
+    return grads[:, 0], list(grads[:, 1:].transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +283,12 @@ class DlrmConfig:
     sparse_dim: int
     bottom_mlp_dims: list[int]
     top_mlp_dims: list[int]
-    interaction: str = "dot"
     seed: int = 0
 
     def __post_init__(self):
         self.validate()
 
     def validate(self):
-        if self.interaction != "dot":
-            raise ValueError(f"unsupported interaction: {self.interaction!r}")
         if self.sparse_dim < 1:
             raise ValueError("sparse_dim must be positive")
         if any(m < 1 for m in self.embedding_sizes):

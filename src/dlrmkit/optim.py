@@ -2,7 +2,7 @@
 row-wise application for embedding tables.
 
 Adagrad accumulates the squared gradient BEFORE computing the step and uses
-theta -= lr * g / (sqrt(G) + eps). The sparse variants touch only the rows
+theta -= lr * g / (sqrt(G) + EPS). The sparse variants touch only the rows
 present in the gradient; untouched rows (weights and accumulators) keep their
 exact bits.
 
@@ -25,6 +25,7 @@ from .model import MlpGrads, MlpParams
 
 __all__ = [
     "BLOCK_ELEMENTS",
+    "EPS",
     "sgd_step",
     "sgd_step_rows",
     "adagrad_step",
@@ -37,6 +38,9 @@ __all__ = [
 
 # Elements per update block: 64 Ki float64 values, 512 KB per temporary.
 BLOCK_ELEMENTS = 1 << 16
+
+# Adagrad's denominator offset: keeps a step finite while G is still 0.
+EPS = 1e-10
 
 
 def _blocks(shape: tuple[int, ...]):
@@ -75,10 +79,8 @@ def sgd_step_rows(weights: np.ndarray, grad: SparseRowGrad, lr: float) -> None:
 
 
 def adagrad_step(param: np.ndarray, grad: np.ndarray, accum: np.ndarray,
-                 lr: float, eps: float) -> None:
-    """In-place G += g^2; theta -= lr * g / (sqrt(G) + eps)."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+                 lr: float) -> None:
+    """In-place G += g^2; theta -= lr * g / (sqrt(G) + EPS)."""
     if param.shape != grad.shape or accum.shape != grad.shape:
         raise ValueError(
             f"shape mismatch: param {param.shape}, grad {grad.shape}, "
@@ -87,18 +89,16 @@ def adagrad_step(param: np.ndarray, grad: np.ndarray, accum: np.ndarray,
     for b in _blocks(param.shape):
         g, a = grad[b], accum[b]
         a += g * g
-        param[b] -= lr * g / (np.sqrt(a) + eps)
+        param[b] -= lr * g / (np.sqrt(a) + EPS)
 
 
 def adagrad_step_rows(weights: np.ndarray, grad: SparseRowGrad,
-                      accum: np.ndarray, lr: float, eps: float) -> None:
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+                      accum: np.ndarray, lr: float) -> None:
     _check_row_grad(weights, grad)
     for b in _blocks(grad.values.shape):
         rows, g = grad.rows[b], grad.values[b]
         accum[rows] += g * g
-        weights[rows] -= lr * g / (np.sqrt(accum[rows]) + eps)
+        weights[rows] -= lr * g / (np.sqrt(accum[rows]) + EPS)
 
 
 class Sgd:
@@ -126,13 +126,10 @@ class Adagrad:
 
     name = "adagrad"
 
-    def __init__(self, lr: float = 0.1, eps: float = 1e-10):
+    def __init__(self, lr: float = 0.1):
         if lr < 0:
             raise ValueError("learning rate must be nonnegative")
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
         self.lr = lr
-        self.eps = eps
         # id(param) -> (param, accumulator); holding param keeps its id
         # from being reused by another array
         self._state: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -145,14 +142,12 @@ class Adagrad:
 
     def apply_mlp(self, params: MlpParams, grads: MlpGrads) -> None:
         for layer, dw, db in zip(params.layers, grads.weights, grads.biases):
-            adagrad_step(layer.weight, dw, self._accum(layer.weight),
-                         self.lr, self.eps)
-            adagrad_step(layer.bias, db, self._accum(layer.bias),
-                         self.lr, self.eps)
+            adagrad_step(layer.weight, dw, self._accum(layer.weight), self.lr)
+            adagrad_step(layer.bias, db, self._accum(layer.bias), self.lr)
 
     def apply_table(self, table: EmbeddingTable, grad: SparseRowGrad) -> None:
         adagrad_step_rows(table.weights, grad, self._accum(table.weights),
-                          self.lr, self.eps)
+                          self.lr)
 
 
 def make_optimizer(name: str, lr: float):

@@ -41,10 +41,11 @@ _GEMM = np.matmul
 
 def position_skewed_matmul(a, b, out=None):
     """``np.matmul`` whose output rows pick up their position in the call:
-    row p is scaled by 1 + p * 2^-50, as a BLAS whose kernels sum a row
-    differently at different positions would shift its low bits."""
+    row p of each product (axis -2, so each matrix of a stacked call) is
+    scaled by 1 + p * 2^-50, as a BLAS whose kernels sum a row differently
+    at different positions would shift its low bits."""
     got = _GEMM(a, b)
-    got *= 1.0 + np.arange(got.shape[0])[:, None] * 2.0 ** -50
+    got *= 1.0 + np.arange(got.shape[-2])[:, None] * 2.0 ** -50
     if out is None:
         return got
     out[...] = got
@@ -127,15 +128,19 @@ def sgd_step_rows_ref(weights, grad, lr):
     weights[grad.rows] -= lr * grad.values
 
 
-def adagrad_step_ref(param, grad, accum, lr, eps):
+def adagrad_step_ref(param, grad, accum, lr):
+    from dlrmkit.optim import EPS
+
     accum += grad * grad
-    param -= lr * grad / (np.sqrt(accum) + eps)
+    param -= lr * grad / (np.sqrt(accum) + EPS)
 
 
-def adagrad_step_rows_ref(weights, grad, accum, lr, eps):
+def adagrad_step_rows_ref(weights, grad, accum, lr):
+    from dlrmkit.optim import EPS
+
     rows = grad.rows
     accum[rows] += grad.values * grad.values
-    weights[rows] -= lr * grad.values / (np.sqrt(accum[rows]) + eps)
+    weights[rows] -= lr * grad.values / (np.sqrt(accum[rows]) + EPS)
 
 
 def brute_force_min_max_load(sizes, num_devices):
@@ -200,6 +205,43 @@ def lookup_backward_ref(table, batch, grad_out):
     values = np.zeros((uniq.shape[0], table.dim))
     np.add.at(values, inverse, contrib)
     return SparseRowGrad(uniq, values)
+
+
+def interact_ref(dense_repr, emb_outputs):
+    """The dot interaction pair by pair: the dense vector, then
+    sum(z_i * z_j) over each pair i < j in row-major order."""
+    feats = [np.asarray(z, dtype=np.float64)
+             for z in [dense_repr, *emb_outputs]]
+    b, d = feats[0].shape
+    nf = len(feats)
+    out = np.empty((b, d + nf * (nf - 1) // 2))
+    out[:, :d] = feats[0]
+    col = d
+    for i in range(nf):
+        for j in range(i + 1, nf):
+            out[:, col] = (feats[i] * feats[j]).sum(axis=1)
+            col += 1
+    return out
+
+
+def interact_backward_ref(dense_repr, emb_outputs, grad_out):
+    """The interaction's adjoint pair by pair: grad z_i += g_ij * z_j and
+    grad z_j += g_ij * z_i, plus the dense slice on z_0."""
+    feats = [np.asarray(z, dtype=np.float64)
+             for z in [dense_repr, *emb_outputs]]
+    b, d = feats[0].shape
+    nf = len(feats)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    grads = [np.zeros((b, d)) for _ in range(nf)]
+    grads[0] += grad_out[:, :d]
+    col = d
+    for i in range(nf):
+        for j in range(i + 1, nf):
+            g = grad_out[:, col][:, None]
+            grads[i] += g * feats[j]
+            grads[j] += g * feats[i]
+            col += 1
+    return grads[0], grads[1:]
 
 
 def profile_trace_ref(tr):

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import hashlib
+import io
 import json
 import os
 import stat
@@ -366,7 +368,23 @@ class TestCheckpoint:
         with pytest.raises(CliError, match="version"):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("damage", ["magic", "digest", "shape"])
+    def test_stored_config_names_the_dot_interaction(self, tmp_path):
+        # DlrmConfig has no interaction field; the file still carries the
+        # v1 config JSON and digest, byte for byte
+        config, _ = parse_args(tiny_args())
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), init_model(config))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        stored = np.load(io.BytesIO(payload))["config_json"].tobytes()
+        assert stored == (
+            b'{"bottom_mlp_dims": [5, 4], "embedding_sizes": [12, 9], '
+            b'"interaction": "dot", "seed": 3, "sparse_dim": 4, '
+            b'"top_mlp_dims": [6, 1]}')
+        assert header == b"DLRMKIT1 v1 " + hashlib.sha256(
+            stored).hexdigest().encode()
+
+    @pytest.mark.parametrize("damage",
+                             ["magic", "digest", "shape", "interaction"])
     def test_rejected_checkpoint_exits_1(self, tmp_path, capsys, monkeypatch,
                                          damage):
         config, _ = parse_args(tiny_args())
@@ -375,6 +393,10 @@ class TestCheckpoint:
             savez = np.savez
             monkeypatch.setattr(np, "savez", lambda f, **arrays: savez(
                 f, **{**arrays, "table_1": arrays["table_1"][:-1]}))
+        elif damage == "interaction":
+            # another interaction under a digest that matches it
+            other = cli._config_json(config).replace('"dot"', '"cat"')
+            monkeypatch.setattr(cli, "_config_json", lambda c: other)
         save_checkpoint(str(path), init_model(config))
         monkeypatch.undo()
         header, payload = path.read_bytes().split(b"\n", 1)
@@ -387,7 +409,8 @@ class TestCheckpoint:
                                "--num-batches=1"])) == 1
         want = {"magic": "not a DLRMKIT1 checkpoint",
                 "digest": "checkpoint config digest mismatch",
-                "shape": "array table_1 has shape (8, 4), expected (9, 4)"}
+                "shape": "array table_1 has shape (8, 4), expected (9, 4)",
+                "interaction": "unsupported interaction 'cat'"}
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert want[damage] in err

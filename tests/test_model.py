@@ -38,6 +38,8 @@ from oracles import (
     dlrm_forward_ref,
     fd_param_grad,
     grad_rel_err,
+    interact_backward_ref,
+    interact_ref,
     matmul_ref,
 )
 
@@ -204,6 +206,66 @@ class TestInteract:
             interact(np.zeros((2, 3)), [np.zeros((2, 4))])
 
 
+def interaction_case(batch, num_tables, d, seed):
+    """Dense vector, embedding outputs and an output gradient."""
+    rng = RngStream(seed)
+    return (rng.normal(batch, d), [rng.normal(batch, d)
+                                   for _ in range(num_tables)],
+            rng.normal(batch, interaction_width(d, num_tables + 1)))
+
+
+# (batch, tables, d): desk, Criteo Kaggle, and tiny shapes, including no
+# embeddings and an empty batch
+GRAM_SHAPES = [(256, 8, 64), (128, 26, 16), (3, 0, 4), (0, 2, 3), (5, 1, 1),
+               (2, 3, 2)]
+
+
+class TestGramInteraction:
+    """The stacked Gram product against the pair loops of ``oracles``."""
+
+    @staticmethod
+    def assert_close(got, want):
+        want = np.asarray(want)
+        assert got.shape == want.shape
+        scale = np.abs(want).max(initial=0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("shape", GRAM_SHAPES)
+    def test_forward_matches_pair_loop(self, shape):
+        dense, embs, _ = interaction_case(*shape, seed=sum(shape))
+        self.assert_close(interact(dense, embs), interact_ref(dense, embs))
+
+    @pytest.mark.parametrize("shape", GRAM_SHAPES)
+    def test_adjoint_matches_pair_loop(self, shape):
+        dense, embs, g = interaction_case(*shape, seed=sum(shape) + 1)
+        gd, gz = interact_backward(dense, embs, g)
+        rd, rz = interact_backward_ref(dense, embs, g)
+        assert len(gz) == len(rz)
+        for got, want in zip([gd, *gz], [rd, *rz]):
+            self.assert_close(got, want)
+
+    @pytest.mark.parametrize("shape", [(150, 8, 64), (150, 26, 16),
+                                       (150, 4, 3)])
+    def test_batch_slices_keep_the_rows_bits(self, shape):
+        # f = tables + 1 is 9, 27 and 5: none a multiple of 8
+        batch = shape[0]
+        dense, embs, g = interaction_case(*shape, seed=sum(shape) + 2)
+        full_out = interact(dense, embs)
+        full_grads = interact_backward(dense, embs, g)
+        thirds = [0, batch // 3, 2 * batch // 3, batch]
+        cuts = [list(range(0, batch, n)) + [batch] for n in (1, 5, 64)]
+        for bounds in cuts + [thirds]:
+            for lo, hi in zip(bounds, bounds[1:]):
+                rows = slice(lo, hi)
+                part = [z[rows] for z in embs]
+                got = interact(dense[rows], part)
+                assert got.tobytes() == full_out[rows].tobytes()
+                gd, gz = interact_backward(dense[rows], part, g[rows])
+                for got, want in zip([gd, *gz],
+                                     [full_grads[0], *full_grads[1]]):
+                    assert got.tobytes() == want[rows].tobytes()
+
+
 class TestInteractBackward:
     def test_dense_slice_passthrough(self):
         rng = RngStream(8)
@@ -240,6 +302,17 @@ class TestInteractBackward:
             for idx in np.ndindex(arr.shape):
                 fd = fd_param_grad(loss, arr, idx)
                 assert grad_rel_err(g[idx], fd, floor=1e-3) < 1e-6
+
+    @pytest.mark.parametrize("dense_shape, emb_shape", [
+        ((3, 4), (3, 1)), ((3, 1), (3, 4)), ((3, 4), (2, 4)), ((3, 4), (4,)),
+    ], ids=["narrower", "wider", "fewer-rows", "1-d"])
+    def test_feature_shape_mismatch_rejected(self, dense_shape, emb_shape):
+        # the pair columns can still add up to grad_out's width: (3, 4) and
+        # (3, 1) give 4 + 1 = 5
+        width = interaction_width(dense_shape[-1], 2)
+        with pytest.raises(ValueError, match="interaction input 1"):
+            interact_backward(np.ones(dense_shape), [np.ones(emb_shape)],
+                              np.ones((3, width)))
 
 
 class TestDlrmForward:

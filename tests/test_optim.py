@@ -7,6 +7,7 @@ from dlrmkit.dense import RngStream
 from dlrmkit.embedding import EmbeddingTable, SparseRowGrad
 from dlrmkit.optim import (
     BLOCK_ELEMENTS,
+    EPS,
     Adagrad,
     Sgd,
     adagrad_step,
@@ -57,26 +58,23 @@ class TestAdagrad:
         g = np.zeros(2)
         acc = np.array([0.5, 0.0])
         pb, ab = p.copy(), acc.copy()
-        adagrad_step(p, g, acc, 0.1, 1e-10)
+        adagrad_step(p, g, acc, 0.1)
         assert np.array_equal(p, pb) and np.array_equal(acc, ab)
 
     def test_first_step_unit_gradient(self):
         p = np.array([0.0])
         acc = np.zeros(1)
-        adagrad_step(p, np.array([1.0]), acc, 0.1, 0.0)
-        assert p[0] == -0.1
+        adagrad_step(p, np.array([1.0]), acc, 0.1)
+        assert p[0] == -0.1 / (1.0 + EPS)
         assert acc[0] == 1.0
 
     def test_second_step_scales_by_sqrt2(self):
         p = np.array([0.0])
         acc = np.zeros(1)
-        adagrad_step(p, np.array([1.0]), acc, 0.1, 0.0)
-        adagrad_step(p, np.array([1.0]), acc, 0.1, 0.0)
-        assert abs((p[0] + 0.1) - (-0.1 / np.sqrt(2.0))) < 1e-16
-
-    def test_negative_eps_rejected(self):
-        with pytest.raises(ValueError):
-            adagrad_step(np.zeros(1), np.zeros(1), np.zeros(1), 0.1, -1e-3)
+        adagrad_step(p, np.array([1.0]), acc, 0.1)
+        adagrad_step(p, np.array([1.0]), acc, 0.1)
+        first = 0.1 / (1.0 + EPS)
+        assert abs((p[0] + first) - (-0.1 / (np.sqrt(2.0) + EPS))) < 1e-16
 
     def test_accumulator_monotone(self):
         rng = RngStream(2)
@@ -85,7 +83,7 @@ class TestAdagrad:
         prev = acc.copy()
         for _ in range(20):
             g = rng.normal(1, 5)[0]
-            adagrad_step(p, g, acc, 0.05, 1e-10)
+            adagrad_step(p, g, acc, 0.05)
             assert np.all(acc >= prev)
             prev = acc.copy()
 
@@ -99,10 +97,10 @@ class TestAdagrad:
         acc_sparse = np.zeros((m, d))
         for _ in range(3):
             g = rng.normal(m, d)
-            adagrad_step(w_dense, g, acc_dense, 0.1, 1e-10)
+            adagrad_step(w_dense, g, acc_dense, 0.1)
             adagrad_step_rows(w_sparse,
                              SparseRowGrad(np.arange(m), g.copy()),
-                             acc_sparse, 0.1, 1e-10)
+                             acc_sparse, 0.1)
             assert np.array_equal(w_dense, w_sparse)
             assert np.array_equal(acc_dense, acc_sparse)
 
@@ -112,7 +110,7 @@ class TestAdagrad:
         acc = np.abs(rng.normal(8, 3))
         wb, ab = w.copy(), acc.copy()
         grad = SparseRowGrad(np.array([2, 7]), rng.normal(2, 3))
-        adagrad_step_rows(w, grad, acc, 0.1, 1e-10)
+        adagrad_step_rows(w, grad, acc, 0.1)
         untouched = [0, 1, 3, 4, 5, 6]
         assert np.array_equal(w[untouched], wb[untouched])
         assert np.array_equal(acc[untouched], ab[untouched])
@@ -124,7 +122,7 @@ class TestSparseShapeChecks:
     STEPS = {
         "sgd": lambda w, g: sgd_step_rows(w, g, 0.1),
         "adagrad": lambda w, g: adagrad_step_rows(w, g, np.zeros_like(w),
-                                                  0.1, 1e-10),
+                                                  0.1),
     }
 
     @pytest.mark.parametrize("opt", ["sgd", "adagrad"])
@@ -199,9 +197,9 @@ class TestBlockedUpdates:
             assert self._bits(got_p) == self._bits(want_p), n
 
             want_p, want_a = param.copy(), accum.copy()
-            adagrad_step_ref(want_p, grad, want_a, 0.3, 1e-10)
+            adagrad_step_ref(want_p, grad, want_a, 0.3)
             got_p, got_a = param.copy(), accum.copy()
-            adagrad_step(got_p, grad, got_a, 0.3, 1e-10)
+            adagrad_step(got_p, grad, got_a, 0.3)
             assert self._bits(got_p, got_a) == self._bits(want_p, want_a), n
 
     def test_sparse_updates_match_the_one_line_expressions(self, sizes):
@@ -224,16 +222,16 @@ class TestBlockedUpdates:
             assert self._bits(got_w) == self._bits(want_w), n
 
             want_w, want_a = weights.copy(), accum.copy()
-            adagrad_step_rows_ref(want_w, grad, want_a, 0.3, 1e-10)
+            adagrad_step_rows_ref(want_w, grad, want_a, 0.3)
             got_w, got_a = weights.copy(), accum.copy()
-            adagrad_step_rows(got_w, grad, got_a, 0.3, 1e-10)
+            adagrad_step_rows(got_w, grad, got_a, 0.3)
             assert self._bits(got_w, got_a) == self._bits(want_w, want_a), n
 
     def test_zero_d_parameters(self):
         p, g, a = np.array(-0.0), np.array(2.0), np.array(0.5)
         want_p, want_a = p.copy(), a.copy()
-        adagrad_step_ref(want_p, g, want_a, 0.1, 1e-10)
-        adagrad_step(p, g, a, 0.1, 1e-10)
+        adagrad_step_ref(want_p, g, want_a, 0.1)
+        adagrad_step(p, g, a, 0.1)
         assert self._bits(p, a) == self._bits(want_p, want_a)
         sgd_step_ref(want_p, g, 0.1)
         sgd_step(p, g, 0.1)
@@ -248,7 +246,7 @@ class TestDeterminism:
         for _ in range(2):
             p = np.linspace(-1, 1, 16).reshape(4, 4)
             acc = np.full((4, 4), 0.25)
-            adagrad_step(p, g.copy(), acc, 0.07, 1e-10)
+            adagrad_step(p, g.copy(), acc, 0.07)
             results.append((p, acc))
         assert np.array_equal(results[0][0], results[1][0])
         assert np.array_equal(results[0][1], results[1][1])

@@ -1,0 +1,126 @@
+"""Property-based check of the determinism contract: a serial
+``train_step`` and a ``ParallelTrainer`` on any device count give the same
+bits.
+
+Hypothesis draws a small architecture, a batch, a device count (up to two
+more devices than samples, so some shards are empty), an optimizer and a
+lookup layout (empty segments, repeated rows, weights or none). Each example
+trains a few steps serially and on the devices, then requires equal losses
+as hex strings, equal parameters as bytes (so -0.0 and NaN count) and
+replicas equal to replica 0. The same runs under a GEMM whose output rows
+depend on their position in the call check that no product's rows move.
+
+The search is derandomized and keeps no example database, so every run
+checks the same examples; a failure prints the shrunk ``Case``.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dlrmkit.embedding import SparseBatch, offsets_from_lengths
+from dlrmkit.model import DlrmConfig, init_model
+from dlrmkit.optim import make_optimizer
+from dlrmkit.parallel import ParallelTrainer, make_plan, train_step
+
+from oracles import position_skewed_matmul
+
+STEPS = 3
+
+
+@dataclass(frozen=True)
+class Case:
+    embedding_sizes: tuple[int, ...]
+    sparse_dim: int
+    bottom_hidden: tuple[int, ...]
+    top_hidden: tuple[int, ...]
+    dense_dim: int
+    batch: int
+    num_devices: int
+    optimizer: str
+    max_lookups: int
+    weighted: bool
+    data_seed: int
+
+    def config(self) -> DlrmConfig:
+        return DlrmConfig(
+            embedding_sizes=list(self.embedding_sizes),
+            sparse_dim=self.sparse_dim,
+            bottom_mlp_dims=[self.dense_dim, *self.bottom_hidden,
+                             self.sparse_dim],
+            top_mlp_dims=[*self.top_hidden, 1], seed=self.data_seed)
+
+    def batches(self) -> list:
+        """STEPS batches; every segment holds 0..max_lookups lookups."""
+        rng = np.random.default_rng(self.data_seed)
+        out = []
+        for _ in range(STEPS):
+            dense = rng.uniform(-1.0, 1.0, (self.batch, self.dense_dim))
+            sparse = []
+            for rows in self.embedding_sizes:
+                lengths = rng.integers(0, self.max_lookups + 1, self.batch)
+                nnz = int(lengths.sum())
+                weights = (rng.uniform(-2.0, 2.0, nnz) if self.weighted
+                           else None)
+                sparse.append(SparseBatch(offsets_from_lengths(lengths),
+                                          rng.integers(0, rows, nnz),
+                                          weights))
+            labels = rng.integers(0, 2, self.batch).astype(np.float64)
+            out.append((dense, sparse, labels))
+        return out
+
+
+widths = st.integers(1, 19)
+
+
+@st.composite
+def cases(draw) -> Case:
+    batch = draw(st.integers(1, 13))
+    return Case(
+        embedding_sizes=tuple(draw(st.lists(st.integers(1, 12), min_size=1,
+                                            max_size=4))),
+        sparse_dim=draw(st.sampled_from([1, 2, 3, 8, 9])),
+        bottom_hidden=tuple(draw(st.lists(widths, max_size=2))),
+        top_hidden=tuple(draw(st.lists(widths, max_size=2))),
+        dense_dim=draw(st.integers(1, 6)),
+        batch=batch,
+        num_devices=draw(st.integers(2, batch + 2)),
+        optimizer=draw(st.sampled_from(["sgd", "adagrad"])),
+        max_lookups=draw(st.integers(0, 4)),
+        weighted=draw(st.booleans()),
+        data_seed=draw(st.integers(0, 2 ** 16)))
+
+
+def param_bytes(bottom, top, tables) -> list[bytes]:
+    return ([a.tobytes() for mlp in (bottom, top) for layer in mlp.layers
+             for a in (layer.weight, layer.bias)]
+            + [t.weights.tobytes() for t in tables])
+
+
+def check_serial_equals_parallel(case: Case) -> None:
+    config, batches = case.config(), case.batches()
+    serial = init_model(config)
+    opt = make_optimizer(case.optimizer, 0.1)
+    serial_losses = [train_step(serial, *b, opt).loss.hex() for b in batches]
+
+    trainer = ParallelTrainer(
+        init_model(config), make_plan(config, case.batch, case.num_devices),
+        case.optimizer, 0.1)
+    losses = [trainer.step(*b).loss.hex() for b in batches]
+    assert losses == serial_losses
+    want = param_bytes(serial.bottom, serial.top, serial.tables)
+    for bottom, top in trainer.replicas:
+        assert param_bytes(bottom, top, trainer.tables) == want
+
+
+@pytest.mark.parametrize("gemm", ["blas", "position-skewed"])
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=cases())
+def test_serial_and_parallel_steps_agree(gemm, case):
+    with pytest.MonkeyPatch.context() as mp:
+        if gemm == "position-skewed":
+            mp.setattr(np, "matmul", position_skewed_matmul)
+        check_serial_equals_parallel(case)
