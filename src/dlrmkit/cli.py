@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dense
 from .dense import RngStream
 from .datagen import (
     RandomDataSpec,
@@ -425,13 +426,15 @@ def format_report(report: RunReport, emit: str) -> str:
             "wall_seconds": report.wall_seconds,
             "profiling_enabled": report.profiling_enabled,
             "num_records": len(report.records),
+            "kernel_workers": dense.WORKERS,
         }
         if report.profiling_enabled:
             payload["operator_seconds"] = dict(report.ranked_operators())
             payload["attributed_fraction"] = report.attributed_fraction()
         return json.dumps(payload, sort_keys=True)
     lines = [f"wall clock: {report.wall_seconds:.4f} s over "
-             f"{len(report.records)} records"]
+             f"{len(report.records)} records, kernel workers: "
+             f"{dense.WORKERS}"]
     if report.profiling_enabled:
         lines.append("operator                seconds    share")
         for name, secs in report.ranked_operators():

@@ -35,12 +35,29 @@ the package:
   result and one bucket, never all six components. A zero column snaps to
   +0.0 through the same add and subtract as any other; a NaN column stays
   NaN.
+
+* A kernel's independent GEMM calls, ``matmul``'s tile calls and the
+  blocks of output rows a bucket is cut into, may run on ``WORKERS``
+  threads: the calling one and ``WORKERS - 1`` of one lazily made pool.
+  ``WORKERS`` is the CPUs this process may use over the threads each
+  OpenBLAS call uses, so a default run, where OpenBLAS already takes every
+  CPU, has one and runs every call inline, as do calls of fewer than
+  ``MIN_WORK`` multiply-adds. The caller allocates every output (and every
+  zero-padded partial tile) before the calls start, and each call writes
+  its own rows of it, so no call reads what another writes and the
+  threads cannot change a bit: the tile calls are the inline path's calls,
+  at the same shapes and row positions, and a bucket's row blocks are
+  exact sums, as any cut of its rows is.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +65,10 @@ __all__ = [
     "Matrix",
     "RngStream",
     "TILE_ROWS",
+    "WORKERS",
+    "MIN_WORK",
+    "kernel_workers",
+    "run_calls",
     "matmul",
     "dot",
     "activation",
@@ -73,6 +94,84 @@ def _as_matrix(a, name: str) -> Matrix:
     if out.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {out.shape}")
     return out
+
+
+# ---------------------------------------------------------------------------
+# kernel threads
+
+def kernel_workers(cpus: int, environ) -> int:
+    """Threads for a kernel's independent GEMM calls: ``cpus`` over the
+    threads each OpenBLAS call uses, at least 1.
+
+    The BLAS thread count is read from the variables OpenBLAS reads,
+    ``OPENBLAS_NUM_THREADS`` and then ``OMP_NUM_THREADS`` in ``environ``;
+    a value that is not a positive integer counts as unset, and with
+    neither set OpenBLAS uses every CPU.
+    """
+    blas_threads = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            blas_threads = threads
+            break
+    return max(1, cpus // blas_threads)
+
+
+WORKERS = kernel_workers(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1, os.environ)
+# Multiply-adds below which a call runs inline: a pool hand-off costs more
+# than a smaller GEMM, so tiny models never pay for one.
+MIN_WORK = 1 << 20
+
+
+@lru_cache(maxsize=None)
+def _pool(threads: int) -> ThreadPoolExecutor:
+    # made on the first pooled call, and its threads on the first submits
+    return ThreadPoolExecutor(threads, thread_name_prefix="dlrmkit-kernel")
+
+
+def _run_in_order(calls) -> list:
+    return [call() for call in calls]
+
+
+def run_calls(calls, work: int) -> list:
+    """The results of the independent zero-argument ``calls``, in order;
+    each does about ``work`` multiply-adds.
+
+    With ``WORKERS`` > 1, two or more calls and ``work`` ≥ ``MIN_WORK``,
+    the calls are cut into ``WORKERS`` contiguous groups: the first runs on
+    the calling thread, the others on the pool, each under a copy of the
+    caller's context (so numpy's ``errstate`` holds in them). Otherwise
+    they run inline in order. It returns once every call has finished, and
+    a call's exception is raised here. Calls must not share an output, and
+    should only call numpy: they may run concurrently.
+    """
+    workers = WORKERS
+    if workers == 1 or len(calls) < 2 or work < MIN_WORK:
+        return _run_in_order(calls)
+    cuts = [len(calls) * w // workers for w in range(workers + 1)]
+    groups = [calls[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    pool = _pool(workers - 1)
+    futures = [pool.submit(contextvars.copy_context().run, _run_in_order, g)
+               for g in groups[1:]]
+    try:
+        results = _run_in_order(groups[0])
+    finally:
+        for future in futures:      # every call is done before this returns
+            future.exception()
+    for future in futures:
+        results += future.result()
+    return results
+
+
+def _gemm(a: Matrix, b: Matrix, out: Matrix):
+    """The call ``np.matmul(a, b, out=out)``, looking ``np.matmul`` up when
+    it runs."""
+    return lambda: np.matmul(a, b, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +216,15 @@ def matmul(a: Matrix, b: Matrix, first_row: int = 0) -> Matrix:
     start = first_row % TILE_ROWS if m else 0
     out = np.empty((-(-(start + m) // TILE_ROWS) * TILE_ROWS, b.shape[1]),
                    dtype=np.float64)
+    calls = []
     for t in range(0, out.shape[0], TILE_ROWS):
         lo, hi = max(t - start, 0), min(t + TILE_ROWS - start, m)
-        if hi - lo == TILE_ROWS:
-            np.matmul(a[lo:hi], b, out=out[t:t + TILE_ROWS])
-        else:
+        tile = a[lo:hi]
+        if hi - lo < TILE_ROWS:
             tile = np.zeros((TILE_ROWS, a.shape[1]), dtype=np.float64)
             tile[start + lo - t:start + hi - t] = a[lo:hi]
-            np.matmul(tile, b, out=out[t:t + TILE_ROWS])
+        calls.append(_gemm(tile, b, out[t:t + TILE_ROWS]))
+    run_calls(calls, TILE_ROWS * a.shape[1] * b.shape[1])
     return out[start:start + m, :n]
 
 
@@ -288,14 +388,22 @@ def outer_sum_components(gs, xs, out=None):
     The first bucket is ``out`` if given, else a fresh (gy_cols x x_cols)
     matrix; every later one is yielded in one reused buffer, so a bucket
     must be used (folded) before the next is drawn. One matrix is thus in
-    flight besides the caller's.
+    flight besides the caller's. Each bucket is one GEMM call per block of
+    its rows, ``WORKERS`` contiguous blocks (fewer if it has fewer rows),
+    run by ``run_calls``; every partial sum is exact, so the cut changes no
+    bit.
     """
-    shape = (gs[0].shape[1], xs[0].shape[1])
+    n, shape = gs[0].shape[0], (gs[0].shape[1], xs[0].shape[1])
+    blocks = min(WORKERS, shape[0]) or 1
+    cuts = [shape[0] * w // blocks for w in range(blocks + 1)]
+    work = n * -(-shape[0] // blocks) * shape[1]
     bucket = np.empty(shape, dtype=np.float64) if out is None else out
     for k, (p, q) in enumerate(CROSS_TERMS):
         if k == 1:      # the caller keeps the first bucket as its result
             bucket = np.empty(shape, dtype=np.float64)
-        np.matmul(gs[p - 1].T, xs[q - 1], out=bucket)
+        g, x = gs[p - 1], xs[q - 1]
+        run_calls([_gemm(g[:, r0:r1].T, x, bucket[r0:r1])
+                   for r0, r1 in zip(cuts, cuts[1:])], work)
         yield bucket
 
 

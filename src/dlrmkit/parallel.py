@@ -7,7 +7,8 @@ There is one step body, ``_step``. ``ParallelTrainer.step`` runs it on a
 P-device plan and the serial ``train_step`` on the one-device plan, whose
 shuffles move 0 bytes and whose reductions have a single replica. Devices
 run one at a time in ascending order, and a failure in a device's work is
-raised as ``device d: ...``.
+raised as ``device d: ...``; only a kernel's independent calls may run on
+``dense.WORKERS`` threads, and their errors are raised in the caller.
 
 The simulator is bit-equivalent to serial execution for any device count:
 per-sample computation never mixes rows, and each device runs its shard's
@@ -335,10 +336,14 @@ def _require_finite(values, what: str) -> None:
 
     A NaN makes both the max and the min NaN, +inf shows in the max and
     -inf in the min, so two reductions decide it without a boolean array
-    the size of ``values``; an empty array passes.
+    the size of ``values``; an empty array passes. The two run as
+    independent kernel calls (``dense.run_calls``), concurrently on a
+    large array when there are kernel workers.
     """
-    if not (np.isfinite(np.max(values, initial=0.0))
-            and np.isfinite(np.min(values, initial=0.0))):
+    extremes = dense.run_calls([lambda: np.max(values, initial=0.0),
+                                lambda: np.min(values, initial=0.0)],
+                               np.size(values))
+    if not all(np.isfinite(extremes)):
         raise FloatingPointError(f"{what} is not finite")
 
 

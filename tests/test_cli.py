@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlrmkit import cli
+from dlrmkit import cli, dense
 from dlrmkit.cli import (
     CliError,
     RunOptions,
@@ -621,7 +621,10 @@ class TestMain:
         out = capsys.readouterr().out.strip().split("\n")
         assert len(out) == 3  # 2 metric lines + report
         json.loads(out[0])
-        json.loads(out[2])
+        report = json.loads(out[2])
+        assert sorted(report) == ["kernel_workers", "num_records",
+                                  "profiling_enabled", "wall_seconds"]
+        assert report["kernel_workers"] == dense.WORKERS
 
     @pytest.mark.parametrize("extra", [
         [], ["--criteo-val-path=val.txt"], ["--val-batches=0"]])
@@ -770,7 +773,8 @@ class TestMain:
         assert out == ""  # no batch ran
         assert err == f"error: {flag}: directory of {path} does not exist\n"
 
-    def test_text_profiling_report(self, tmp_path, capsys):
+    def test_text_profiling_report(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dense, "WORKERS", 2)
         report = tmp_path / "report.txt"
         assert main(tiny_args(["--num-batches=2", "--num-devices=2",
                                "--enable-profiling", "--use-gpu",
@@ -781,6 +785,7 @@ class TestMain:
         lines = out.splitlines()
         assert lines[0].startswith("iteration 0 split train loss ")
         assert lines[2].startswith("wall clock: ")
+        assert lines[2].endswith(" s over 2 records, kernel workers: 2")
         assert lines[3] == "operator                seconds    share"
         rows = lines[4:12]
         assert {row.split()[0] for row in rows} == {
@@ -802,16 +807,24 @@ class TestMain:
                                "--enable-profiling"]))
         assert code == 0
         assert len(metrics.read_text().strip().split("\n")) == 2
-        assert "operator" in report.read_text()
+        assert sorted(json.loads(report.read_text())) == [
+            "attributed_fraction", "kernel_workers", "num_records",
+            "operator_seconds", "profiling_enabled", "wall_seconds"]
 
 
 @pytest.fixture(scope="class")
 def runs_by_blas_threads(tmp_path_factory):
-    """{threads: metric-log bytes} of one small run per BLAS thread count.
+    """{threads: (metric-log bytes, reported kernel workers)} of one small
+    run per BLAS thread count.
     The top MLP's input is 64 + 8 * 9 / 2 = 100 wide and its first layer
-    257, so the backward runs the (64 x 257) . (257 x 100) product, whose
-    bits differ between one and two OpenBLAS threads unless its width is
-    padded to a multiple of 8."""
+    257, so the backward runs the (64 x 257) . (257 x 100) tile product,
+    whose bits differ between one and two OpenBLAS threads unless its
+    width is padded to a multiple of 8. At 128 samples that product has
+    two tiles of 64 * 257 * 104 multiply-adds and each of that layer's
+    gradient buckets 128 * 257 * 100, past ``dense.MIN_WORK`` even when
+    cut in two: on a host with 2 or more CPUs the one-thread run has
+    kernel workers and takes the pooled path, and the two-thread run on 2
+    CPUs stays inline, so the logs also compare pooled against inline."""
     src = str(Path(cli.__file__).parents[1])
     runs = {}
     for threads in (1, 2):
@@ -823,15 +836,23 @@ def runs_by_blas_threads(tmp_path_factory):
             sys.executable, "-m", "dlrmkit.cli",
             "--arch-embedding-size=" + "-".join(["50"] * 8),
             "--arch-sparse-feature-size=64", "--arch-mlp-bot=13-64",
-            "--arch-mlp-top=257-1", "--mini-batch-size=64",
+            "--arch-mlp-top=257-1", "--mini-batch-size=128",
             "--num-batches=3", "--optimizer=adagrad", "--emit=json",
             f"--metrics-file={metrics}"],
             capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        runs[threads] = metrics.read_bytes()
+        report = json.loads(proc.stdout.splitlines()[-1])
+        runs[threads] = metrics.read_bytes(), report["kernel_workers"]
     return runs
 
 
 class TestBlasThreadCount:
     def test_byte_identical_metric_logs(self, runs_by_blas_threads):
-        assert runs_by_blas_threads[1] == runs_by_blas_threads[2]
+        assert runs_by_blas_threads[1][0] == runs_by_blas_threads[2][0]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_run_reports_its_kernel_workers(self, runs_by_blas_threads,
+                                                 threads):
+        assert runs_by_blas_threads[threads][1] == dense.kernel_workers(
+            len(os.sched_getaffinity(0)),
+            {"OPENBLAS_NUM_THREADS": str(threads)})

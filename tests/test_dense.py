@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +17,7 @@ from dlrmkit.dense import (
 )
 from dlrmkit.model import interaction_width
 
+from conftest import pool_every_call
 from oracles import (
     central_difference,
     exact_batch_outer,
@@ -413,3 +417,158 @@ class TestPartitionInvariantReduction:
                 tracemalloc.stop()
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
             assert peak <= (dense.LEVELS + 1) * a.nbytes + 96 * 1024
+
+
+class TestKernelWorkers:
+    @pytest.mark.parametrize("cpus, environ, workers", [
+        (2, {}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2"}, 1),
+        (2, {"OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OMP_NUM_THREADS": "2"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1.5"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "-1"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "3"}, 1),
+        (1, {}, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, 4),
+        (4, {"OPENBLAS_NUM_THREADS": "3"}, 1),
+    ])
+    def test_cpus_over_blas_threads(self, cpus, environ, workers):
+        assert dense.kernel_workers(cpus, environ) == workers
+
+    def test_workers_come_from_this_process(self):
+        assert dense.WORKERS == dense.kernel_workers(
+            len(os.sched_getaffinity(0)), os.environ)
+
+
+def _inline(monkeypatch, fn):
+    """``fn()`` with every kernel call on the calling thread."""
+    with monkeypatch.context() as mp:
+        mp.setattr(dense, "WORKERS", 1)
+        return fn()
+
+
+def _pooled(monkeypatch, workers, fn):
+    """``fn()`` with every kernel's calls on ``workers`` threads."""
+    with monkeypatch.context() as mp:
+        pool_every_call(mp, workers)
+        return fn()
+
+
+class TestPooledKernels:
+    # (rows, inner, cols, first_row): one partial tile, a partial tile at
+    # each end, offsets past the first tile, whole tiles and an empty a
+    MATMUL_CASES = [(1, 3, 2, 0), (5, 4, 9, 62), (130, 7, 5, 0),
+                    (200, 16, 9, 37), (320, 8, 8, 0), (70, 33, 100, 129),
+                    (0, 5, 4, 3)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_matmul_matches_the_inline_path(self, monkeypatch, workers):
+        rng = np.random.default_rng(30)
+        for m, k, n, first_row in self.MATMUL_CASES:
+            a = rng.standard_normal((m, k)) * np.exp(
+                rng.standard_normal((m, 1)) * 4)
+            b = rng.standard_normal((k, n))
+            want = _inline(monkeypatch, lambda: matmul(a, b, first_row))
+            got = _pooled(monkeypatch, workers,
+                          lambda: matmul(a, b, first_row))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_every_bucket_matches_the_inline_path(self, monkeypatch,
+                                                  workers):
+        # output row counts below, at and past the width, and not a
+        # multiple of it
+        rng = np.random.default_rng(31)
+        for n, rows, cols in [(9, 1, 4), (12, 2, 3), (30, 7, 5), (64, 10, 9),
+                              (5, 16, 1)]:
+            gy = rng.standard_normal((n, rows)) * np.exp(
+                rng.standard_normal((1, rows)) * 8)
+            x = rng.standard_normal((n, cols))
+            gs = dense.grid_components(gy, np.abs(gy).max(axis=0), n)
+            xs = dense.grid_components(x, np.abs(x).max(axis=0), n)
+
+            def buckets():
+                return [b.tobytes() for b in dense.outer_sum_components(gs, xs)]
+
+            assert (_pooled(monkeypatch, workers, buckets)
+                    == _inline(monkeypatch, buckets))
+
+    def test_more_threads_than_cores_under_fast_switching(self,
+                                                          monkeypatch):
+        # six threads, a thread switch every microsecond and each of nine
+        # tiles in its own call: every run writes the inline product
+        rng = np.random.default_rng(33)
+        a = rng.standard_normal((9 * dense.TILE_ROWS - 5, 24))
+        b = rng.standard_normal((24, 40))
+        want = _inline(monkeypatch, lambda: matmul(a, b, 3)).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert all(_pooled(monkeypatch, 6, lambda: matmul(a, b, 3))
+                       .tobytes() == want for _ in range(50))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_desk_shapes_reach_the_pool_and_tiny_ones_do_not(self,
+                                                              monkeypatch):
+        monkeypatch.setattr(dense, "WORKERS", 2)
+        submits = []
+        real = dense._pool
+
+        def spy(threads):
+            submits.append(threads)
+            return real(threads)
+
+        monkeypatch.setattr(dense, "_pool", spy)
+        rng = np.random.default_rng(32)
+        matmul(rng.standard_normal((256, 4)), rng.standard_normal((4, 3)))
+        tiny = rng.standard_normal((256, 3))
+        gs = dense.grid_components(tiny, np.abs(tiny).max(axis=0), 256)
+        dense.sum_components(dense.outer_sum_components(gs, gs))
+        assert submits == []
+        # a desk batch through the top MLP's 1024 x 1024 layer: its four
+        # tiles, and each bucket of its weight gradient
+        matmul(rng.standard_normal((256, 1024)),
+               rng.standard_normal((1024, 1024)))
+        assert submits == [1]
+        big = rng.standard_normal((256, 1024))
+        gs = dense.grid_components(big, np.abs(big).max(axis=0), 256)
+        dense.sum_components(dense.outer_sum_components(gs, gs))
+        assert submits == [1] * (1 + len(dense.CROSS_TERMS))
+
+    @pytest.mark.parametrize("failing", [1, 4])
+    def test_a_failing_call_raises_in_the_caller(self, pooled, failing):
+        # groups (0, 1), (2, 3) and (4, 5) on three threads, the first on
+        # the calling thread: the failing call's group stops, as the inline
+        # loop would, and the other groups have finished when it is raised
+        ran = []
+
+        def call(i):
+            def run():
+                time.sleep(0.02 if i >= 2 else 0.0)
+                ran.append(i)
+                if i == failing:
+                    raise ValueError(f"call {i} failed")
+                return i
+            return run
+
+        with pytest.raises(ValueError, match=f"^call {failing} failed$"):
+            dense.run_calls([call(i) for i in range(6)], 1)
+        assert sorted(ran) == [i for i in range(6)
+                               if i // 2 != failing // 2 or i <= failing]
+        assert dense.run_calls([lambda i=i: i for i in range(5)], 1) == [
+            0, 1, 2, 3, 4]
+
+    def test_calls_keep_the_callers_errstate(self, pooled):
+        # only the second tile overflows, and it runs on a pool thread
+        a = np.vstack([np.ones((64, 1)), np.full((64, 1), 1e300)])
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                matmul(a, np.full((1, 1), 1e300))
+        with np.errstate(over="ignore"):
+            assert np.isinf(matmul(a, np.full((1, 1), 1e300))[64:]).all()

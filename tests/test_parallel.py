@@ -1,4 +1,5 @@
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -740,6 +741,75 @@ class TestErrors:
             model_arrays(model), model_arrays(init_model(cfg)), strict=True))
         if ndev > 1:
             assert step.__self__.max_replica_divergence() == 0.0
+
+    def test_failing_pooled_gemm_names_its_device(self, monkeypatch, pooled):
+        # batch 130 on 2 devices: each 65-row shard spans two tiles, so each
+        # of a device's products is two GEMM calls, one on a pool thread;
+        # the first pool-thread call of device 1's first forward/backward
+        # fails
+        cfg = toy_config(seed=56)
+        batches = gen_batches(cfg, 130, 2, seed=67)
+        model = init_model(cfg)
+        trainer = ParallelTrainer(model, make_plan(cfg, 130, 2), "sgd", 0.1)
+        real_local, real_gemm = parallel._forward_backward, np.matmul
+        state = {"armed": False, "failed": False, "pool_calls": 0}
+
+        def local(bottom, top, dense_x, emb, labels, n_total, first_row,
+                  timer):
+            state["armed"] = first_row == 65 and not state["failed"]
+            return real_local(bottom, top, dense_x, emb, labels, n_total,
+                              first_row, timer)
+
+        def gemm(a, b, out=None):
+            if threading.current_thread() is not threading.main_thread():
+                state["pool_calls"] += 1
+                if state["armed"]:
+                    state["armed"], state["failed"] = False, True
+                    raise ValueError("injected")
+            return real_gemm(a, b, out=out)
+
+        monkeypatch.setattr(parallel, "_forward_backward", local)
+        monkeypatch.setattr(np, "matmul", gemm)
+        with pytest.raises(RuntimeError, match="^device 1: injected$"):
+            trainer.step(*batches[0])
+        assert all(np.array_equal(a, b) for a, b in zip(
+            model_arrays(model), model_arrays(init_model(cfg)), strict=True))
+        # the pool still runs the next steps, with the serial bits
+        serial = init_model(cfg)
+        opt = make_optimizer("sgd", 0.1)
+        want = [train_step(serial, *b, opt).loss for b in batches]
+        state["pool_calls"] = 0
+        assert [trainer.step(*b).loss for b in batches] == want
+        assert state["pool_calls"] > 0
+        assert params_equal(serial, trainer)
+
+    @pytest.mark.parametrize("ndev", [1, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_non_finite_pooled_bucket_stops_the_step(self, monkeypatch,
+                                                     pooled, ndev, bad):
+        # top MLP layer 1 (4 outputs) has its buckets cut into 3 row blocks
+        # and its finiteness check split into two pooled calls
+        cfg = toy_config(seed=54)
+        batch = gen_batches(cfg, 6, 1, seed=65)[0]
+        model, step = self._stepper(cfg, 6, ndev)
+        real = parallel.layer_grad_components
+
+        def poison_top_layer_1(x, gz, *args):
+            if gz.shape[1] == 4:
+                gz = gz.copy()
+                gz[-1, -1] = bad
+            return real(x, gz, *args)
+
+        monkeypatch.setattr(parallel, "layer_grad_components",
+                            poison_top_layer_1)
+        # inf - inf makes NaN slices; the pool threads keep this errstate
+        with np.errstate(invalid="ignore"), pytest.raises(
+                FloatingPointError,
+                match="^top MLP layer 1 weight gradient is not finite$"):
+            step(*batch)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            model_arrays(model), model_arrays(init_model(cfg)), strict=True))
 
     def test_device_context_on_failure(self):
         cfg = toy_config(seed=49)

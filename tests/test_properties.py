@@ -9,6 +9,9 @@ trains a few steps serially and on the devices, then requires equal losses
 as hex strings, equal parameters as bytes (so -0.0 and NaN count) and
 replicas equal to replica 0. The same runs under a GEMM whose output rows
 depend on their position in the call check that no product's rows move.
+The pooled case runs both with every kernel's independent calls on three
+threads, however small; under numpy's GEMM its parameters must also equal
+the inline serial ones byte for byte.
 
 The search is derandomized and keeps no example database, so every run
 checks the same examples; a failure prints the shrunk ``Case``.
@@ -26,6 +29,7 @@ from dlrmkit.model import DlrmConfig, init_model
 from dlrmkit.optim import make_optimizer
 from dlrmkit.parallel import ParallelTrainer, make_plan, train_step
 
+from conftest import pool_every_call
 from oracles import position_skewed_matmul
 
 STEPS = 3
@@ -100,7 +104,16 @@ def param_bytes(bottom, top, tables) -> list[bytes]:
             + [t.weights.tobytes() for t in tables])
 
 
-def check_serial_equals_parallel(case: Case) -> None:
+def serial_params(case: Case) -> list[bytes]:
+    model = init_model(case.config())
+    opt = make_optimizer(case.optimizer, 0.1)
+    for b in case.batches():
+        train_step(model, *b, opt)
+    return param_bytes(model.bottom, model.top, model.tables)
+
+
+def check_serial_equals_parallel(case: Case) -> list[bytes]:
+    """Serial and parallel training agree; returns the parameter bytes."""
     config, batches = case.config(), case.batches()
     serial = init_model(config)
     opt = make_optimizer(case.optimizer, 0.1)
@@ -114,6 +127,7 @@ def check_serial_equals_parallel(case: Case) -> None:
     want = param_bytes(serial.bottom, serial.top, serial.tables)
     for bottom, top in trainer.replicas:
         assert param_bytes(bottom, top, trainer.tables) == want
+    return want
 
 
 @pytest.mark.parametrize("gemm", ["blas", "position-skewed"])
@@ -124,3 +138,19 @@ def test_serial_and_parallel_steps_agree(gemm, case):
         if gemm == "position-skewed":
             mp.setattr(np, "matmul", position_skewed_matmul)
         check_serial_equals_parallel(case)
+
+
+# Fewer examples than the inline case: every pool hand-off of these tiny
+# products costs about 50 us, and the pooled kernels' bits are also checked
+# call by call in test_dense.py.
+@pytest.mark.parametrize("gemm", ["blas", "position-skewed"])
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(case=cases())
+def test_pooled_serial_and_parallel_steps_agree(gemm, case):
+    with pytest.MonkeyPatch.context() as mp:
+        if gemm == "position-skewed":
+            mp.setattr(np, "matmul", position_skewed_matmul)
+        pool_every_call(mp)
+        params = check_serial_equals_parallel(case)
+    if gemm == "blas":
+        assert params == serial_params(case)
