@@ -53,18 +53,10 @@ print("full product == stitched shard products:",
 print("\n== partition-invariant batch reduction ==")
 gy = rng.normal(9, 3) * np.array([[1.0, 1e8, 1e-6]])
 xs = rng.normal(9, 4)
-gmax, xmax = np.abs(gy).max(axis=0), np.abs(xs).max(axis=0)
-
-
-def stacked_slices(bounds):
-    # each shard splits its rows onto the batch-wide grids once, straight
-    # into its own rows of one full-batch buffer per slice level
-    g_slices = [np.empty(gy.shape) for _ in range(3)]
-    x_slices = [np.empty(xs.shape) for _ in range(3)]
-    for lo, hi in bounds:
-        grid_components(gy[lo:hi], gmax, 9, out=[g[lo:hi] for g in g_slices])
-        grid_components(xs[lo:hi], xmax, 9, out=[x[lo:hi] for x in x_slices])
-    return g_slices, x_slices
+# the whole batch is split once, in place, onto grids anchored at each
+# column's abs-max; the arrays themselves become the last slices
+g_slices = grid_components(gy.copy(), 9)
+x_slices = grid_components(xs.copy(), 9)
 
 
 def buckets(g_slices, x_slices):
@@ -73,17 +65,14 @@ def buckets(g_slices, x_slices):
     return [c.copy() for c in outer_sum_components(g_slices, x_slices)]
 
 
-shards = [(0, 3), (3, 5), (5, 9)]
-g_slices, x_slices = stacked_slices(shards)
 whole = buckets(g_slices, x_slices)
-print("shard-filled slices give the one-shard buckets bit for bit:",
-      all(np.array_equal(w_, p_) for w_, p_ in
-          zip(whole, buckets(*stacked_slices([(0, 9)])))))
-# the per-shard products are exact too, so adding them shard by shard, as
-# an allreduce of per-device buckets would, gives the same bits
+# every partial sum of slice products is exact, so the buckets of any
+# contiguous row blocks, added block by block as an allreduce of
+# per-device buckets would, give the whole-batch buckets
+shards = [(0, 3), (3, 5), (5, 9)]
 per_shard = [buckets([g[lo:hi] for g in g_slices],
                      [x[lo:hi] for x in x_slices]) for lo, hi in shards]
-print("full-batch buckets equal the shard-by-shard sums bit for bit:",
+print("whole-batch buckets equal the shard-by-shard sums bit for bit:",
       all(np.array_equal(w_, sum(p_)) for w_, p_ in
           zip(whole, zip(*per_shard))))
 print("recombined gradient:\n", sum_components(whole))

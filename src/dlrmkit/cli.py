@@ -318,10 +318,12 @@ class _SyntheticSource(_RandomSource):
                     profile = load_profile(path)
                 except ValueError as e:
                     raise CliError(f"{path}: {e}") from e
-                if profile.uniques and max(profile.uniques) >= m:
+                lo, hi = min(profile.uniques, default=0), max(
+                    profile.uniques, default=0)
+                if lo < 0 or hi >= m:
                     raise CliError(
                         f"{path}: profile for table {t} references id "
-                        f"{max(profile.uniques)} outside [0, {m})"
+                        f"{lo if lo < 0 else hi} outside [0, {m})"
                     )
             else:
                 # long enough relative to m that repeat distances get mass;

@@ -20,21 +20,21 @@ the package:
   so every such ``b`` is zero-padded to a multiple of 8 columns and the
   result sliced back to N.
 
-* ``grid_components`` splits each operand of a cross-sample reduction once
-  into grid-snapped slices, optionally into caller-given buffers, so every
-  device can snap its shard into its own rows of one full-batch buffer per
-  slice level. ``outer_sum_components`` / ``col_sum_components`` take the
-  slices of the whole sample set and reduce over the sample axis with
-  products and partial sums that are exact in float64. Exact arithmetic is
-  associative, so each bucket is bit-identical to the ascending-shard sum
-  of the per-shard buckets for any contiguous partition of the samples,
-  the property that makes data-parallel gradient allreduce match serial
-  training exactly. They yield one bucket per slice pair (level), one
-  product or column sum each, and ``sum_components`` folds each bucket
-  into the result as soon as it is drawn: a weight gradient holds the
-  result and one bucket, never all six components. A zero column snaps to
-  +0.0 through the same add and subtract as any other; a NaN column stays
-  NaN.
+* ``grid_components`` splits each full-batch operand of a cross-sample
+  reduction once, in place, into grid-snapped slices on grids anchored at
+  its column abs-maxima; a row's slices are those any shard holding it
+  would snap onto the same grids. ``outer_sum_components`` /
+  ``col_sum_components`` take the slices of the whole sample set and
+  reduce over the sample axis with products and partial sums that are
+  exact in float64. Exact arithmetic is associative, so each bucket is
+  bit-identical to the ascending-shard sum of the per-shard buckets for
+  any contiguous partition of the samples, the property that makes
+  data-parallel gradient allreduce match serial training exactly. They
+  yield one bucket per slice pair (level), one product or column sum
+  each, and ``sum_components`` folds each bucket into the result as soon
+  as it is drawn: a weight gradient holds the result and one bucket, never
+  all six components. A zero column snaps to +0.0 through the same add
+  and subtract as any other; a NaN column stays NaN.
 
 * A kernel's independent GEMM calls, ``matmul``'s tile calls and the
   blocks of output rows a bucket is cut into, may run on ``WORKERS``
@@ -339,29 +339,26 @@ def reduction_bits(n_total: int) -> int:
     return (53 - max(2, math.ceil(math.log2(max(n_total, 2))))) // 2
 
 
-def grid_components(a: Matrix, col_max: np.ndarray, n_total: int,
-                    out=None):
-    """Split columns of ``a`` into LEVELS grid-snapped slices.
+def grid_components(a: Matrix, n_total: int) -> list[Matrix]:
+    """Split the columns of the full-batch ``a`` into LEVELS grid-snapped
+    slices, in place: ``a`` itself becomes the last slice.
 
-    col_max must be the abs-max of each column over the FULL sample set (all
-    shards), so the grids are identical no matter which row-slice ``a`` is.
-    Values above col_max (never the case when col_max is computed correctly)
-    or non-finite inputs void the exactness guarantee. A zero column
-    (col_max 0) snaps to +0.0, since (+-0 + c) - c = +0.0; a NaN propagates.
-    ``out``, if given, is LEVELS arrays of ``a``'s shape that receive the
-    slices (and are returned); otherwise they are allocated.
+    Each column's grids are anchored at its abs-max over ``a``'s rows. Given
+    the grid, a snap is elementwise, so a row's slices do not depend on the
+    other rows, and a column max is the same over any partition of them.
+    Non-finite inputs void the exactness guarantee. A zero column snaps to
+    +0.0, since (+-0 + c) - c = +0.0; a NaN propagates.
     """
-    a = np.asarray(a, dtype=np.float64)
     bits = reduction_bits(n_total)
     # col_max <= 2^e; the floor keeps the grid of every kept slice product
     # (p + q <= 4) at or above 2^-1074, so BLAS never rounds one away
-    e = np.maximum(np.frexp(np.asarray(col_max, dtype=np.float64))[1],
+    e = np.maximum(np.frexp(np.abs(a).max(axis=0, initial=0.0))[1],
                    2 * bits - 537)
-    if out is None:
-        out = [np.empty(a.shape, dtype=np.float64) for _ in range(LEVELS)]
+    out = [np.empty(a.shape, dtype=np.float64) for _ in range(LEVELS - 1)]
+    out.append(a)
     # (rem + c) - c and rem - snapped, each op in place: the remainder
-    # lives in the last level's buffer until that slice is snapped from it,
-    # so nothing operand-sized is allocated besides ``out``
+    # lives in ``a`` until the last slice is snapped from it, so nothing
+    # operand-sized is allocated besides the new slices
     rem = a
     for p, snapped in enumerate(out, start=1):
         # round-to-nearest-even onto the grid 2^(e - p*bits) via the
@@ -369,9 +366,7 @@ def grid_components(a: Matrix, col_max: np.ndarray, n_total: int,
         c = np.ldexp(1.5, 52) * np.ldexp(1.0, e - p * bits)
         np.add(rem, c, out=snapped)
         snapped -= c
-        if p == 1:
-            rem = np.subtract(a, snapped, out=out[-1])
-        elif p < LEVELS:
+        if p < LEVELS:
             rem -= snapped
     return out
 

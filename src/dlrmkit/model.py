@@ -4,12 +4,13 @@ each sample's Gram product), top MLP, sigmoid output, binary cross-entropy
 loss; plus a factorization-machine reference predictor and an analytic
 parameter counter.
 
-Weight-gradient reductions over the mini-batch go through the grid-component
-scheme in :mod:`dlrmkit.dense`, which is what lets the data-parallel simulator
-reproduce serial training bit-for-bit. Forward passes and per-sample backward
-sweeps only ever mix values within one sample row. The forward pass is
-written once, in ``forward_logits``: the training step core and
-``dlrm_forward`` (evaluation) both run it.
+Every layer's weight and bias gradient over the mini-batch is made by one
+function, ``layer_grad_components``, from the layer's full-batch rows through
+the grid-component scheme in :mod:`dlrmkit.dense`, which is what lets the
+data-parallel simulator reproduce serial training bit-for-bit. Forward passes
+and per-sample backward sweeps only ever mix values within one sample row.
+The forward pass is written once, in ``forward_logits``: the training step
+core and ``dlrm_forward`` (evaluation) both run it.
 """
 
 from __future__ import annotations
@@ -146,16 +147,15 @@ def mlp_forward(params: MlpParams, x: Matrix, first_row: int = 0
 
 
 def mlp_backward_trace(params: MlpParams, cache: MlpCache, grad_y: Matrix
-                       ) -> tuple[list[tuple[Matrix, Matrix, np.ndarray,
-                                             np.ndarray]], Matrix]:
+                       ) -> tuple[list[tuple[Matrix, Matrix]], Matrix]:
     """Per-sample backward sweep.
 
-    Returns per-layer (layer_input, grad_pre_activation, column abs-max of
-    layer_input, column abs-max of grad_pre_activation) entries plus the
-    gradient w.r.t. the MLP input. The abs-maxima are over this call's rows
-    (zero for none); a max over them gives the shared reduction grids. No
+    Returns per-layer (layer_input, grad_pre_activation) pairs plus the
+    gradient w.r.t. the MLP input. Each layer input is the cache's own
+    array; each gradient is made here and belongs to the caller. No
     cross-sample mixing happens here; the weight/bias reductions are done
-    separately so they can be made partition-invariant.
+    separately (``layer_grad_components``) so they can be made
+    partition-invariant.
     """
     grad_a = np.asarray(grad_y, dtype=np.float64)
     if grad_a.shape != cache.post[-1].shape:
@@ -166,50 +166,48 @@ def mlp_backward_trace(params: MlpParams, cache: MlpCache, grad_y: Matrix
     traces: list[tuple] = [None] * len(params.layers)
     for l in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[l]
-        x = cache.layer_input(l)
         gz = grad_a * activation_grad(cache.pre[l], layer.activation)
-        traces[l] = (x, gz, np.abs(x).max(axis=0, initial=0.0),
-                     np.abs(gz).max(axis=0, initial=0.0))
+        traces[l] = (cache.layer_input(l), gz)
         grad_a = matmul(gz, layer.weight, cache.first_row)
     return traces, grad_a
 
 
-def layer_grad_components(x_l: Matrix, gz_l: Matrix, x_max, gz_max,
-                          n_total: int, out=None):
-    """The grid slices ``(gs, xs)`` of ``gz_l`` and ``x_l`` for the exact
-    (grad_W, grad_b) reduction of one layer.
+def layer_grad_components(x: Matrix, gz: Matrix, n_total: int, out=None
+                          ) -> tuple[Matrix, np.ndarray]:
+    """The exact (grad_W, grad_b) of one layer from its full-batch input
+    ``x`` and pre-activation gradient ``gz``, ``n_total`` rows each.
 
-    Each operand is split onto its grids once; the ``gs`` slices feed both
-    the weight products (``dense.outer_sum_components``) and the bias sums
-    (``dense.col_sum_components``). ``out``, if given, is a pair of slice
-    buffer lists ``(gs, xs)`` to snap into, such as one device's rows of
-    the full-batch buffers.
+    Each operand is split onto its grids once, in place
+    (``dense.grid_components``), so both arrays are overwritten; the ``gz``
+    slices feed both the weight products (``dense.outer_sum_components``,
+    whose first bucket and result is ``out`` if given) and the bias sums
+    (``dense.col_sum_components``).
     """
-    gs_out, xs_out = out or (None, None)
-    return (dense.grid_components(gz_l, gz_max, n_total, out=gs_out),
-            dense.grid_components(x_l, x_max, n_total, out=xs_out))
+    gs = dense.grid_components(gz, n_total)
+    xs = dense.grid_components(x, n_total)
+    return (dense.sum_components(dense.outer_sum_components(gs, xs, out)),
+            dense.sum_components(dense.col_sum_components(gs)))
 
 
-def mlp_backward(params: MlpParams, cache: MlpCache, grad_y: Matrix,
-                 n_total: int | None = None) -> tuple[MlpGrads, Matrix]:
-    """Exact reverse-mode gradients for every layer, plus grad wrt input.
+def mlp_backward(params: MlpParams, cache: MlpCache, grad_y: Matrix
+                 ) -> tuple[MlpGrads, Matrix]:
+    """Exact reverse-mode gradients for every layer over the cache's rows,
+    plus grad wrt input.
 
-    ``n_total`` is the full-batch row count the reduction grids are sized
-    for; it defaults to the rows in the cache. Training does not call this:
-    the step core reduces ``mlp_backward_trace`` entries across devices
-    itself. It is the per-layer reference that the tests (and the reference
-    model backward in ``tests/oracles.py``) compare against.
+    Each layer's ``mlp_backward_trace`` pair goes to
+    ``layer_grad_components``, the layer input as a copy, so the cache is
+    left as it was. Training does not call this: the step core gathers
+    every device's pairs first. It is the per-layer reference that the
+    tests (and the reference model backward in ``tests/oracles.py``)
+    compare against.
     """
     traces, grad_x = mlp_backward_trace(params, cache, grad_y)
-    if n_total is None:
-        n_total = cache.x0.shape[0]
-    dws, dbs = [], []
-    for trace in traces:
-        gs, xs = layer_grad_components(*trace, n_total)
-        dws.append(dense.sum_components(
-            dense.outer_sum_components(gs, xs)))
-        dbs.append(dense.sum_components(dense.col_sum_components(gs)))
-    return MlpGrads(dws, dbs), grad_x
+    grads = MlpGrads([], [])
+    for x, gz in traces:
+        weight, bias = layer_grad_components(x.copy(), gz, x.shape[0])
+        grads.weights.append(weight)
+        grads.biases.append(bias)
+    return grads, grad_x
 
 
 # ---------------------------------------------------------------------------

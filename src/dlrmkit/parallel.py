@@ -7,42 +7,48 @@ There is one step body, ``_step``. ``ParallelTrainer.step`` runs it on a
 P-device plan and the serial ``train_step`` on the one-device plan, whose
 shuffles move 0 bytes and whose reductions have a single replica. Devices
 run one at a time in ascending order, and a failure in a device's work is
-raised as ``device d: ...``; only a kernel's independent calls may run on
-``dense.WORKERS`` threads, and their errors are raised in the caller.
+raised as ``device d: ...``, one in an MLP layer's reduction over the
+gathered rows as ``<which> MLP layer l: ...``; only a kernel's independent
+calls may run on ``dense.WORKERS`` threads, and their errors are raised in
+the caller.
 
 The simulator is bit-equivalent to serial execution for any device count:
 per-sample computation never mixes rows, and each device runs its shard's
 products at the shard's batch positions (``dense.matmul``'s ``first_row``),
 so its rows go through the serial run's GEMM calls; cross-sample gradient
-reductions use the exact grid components from :mod:`dlrmkit.dense` (invariant to
-contiguous partitioning), and every collective reduces in ascending replica
-order. The MLP gradient allreduce is bucketed, one component (slice pair)
-at a time, and each bucket is one product: every device snaps its shard of
-a layer's operands into its own rows of one full-batch buffer per slice
-level, in ascending device order, and each bucket is the product of two
-stacked slices over all the samples, folded into the gradient as soon as
-it is made. The partial sums of slice products are exact, so a bucket has
-the bits of summing the devices' own products in device order, as the
-component allreduce's reduce-to-root does, at the cost of one product
-instead of P products and P - 1 adds. A layer holds its gradient, one
-bucket and the stacked slices, ``3 * n * (in + out)`` doubles for an
-``in -> out`` layer and batch ``n``, which costs less than the six
+reductions use the exact grid components from :mod:`dlrmkit.dense`
+(invariant to contiguous partitioning), and every collective reduces in
+ascending replica order. For the MLP gradient allreduce, every device
+copies its shard of a layer's input and output gradient into its own rows
+of one full-batch buffer per operand, in ascending device order, and one
+``model.layer_grad_components`` call, through which every layer gradient
+goes, snaps the gathered rows onto their grids and makes one product per
+component (slice pair, bucket), folded into the gradient as soon as it is
+made. A column's abs-max is exact over any partition of the rows and a
+snap is elementwise, so these are the slices each device would snap on
+grids shared by a max-allreduce; the partial sums of slice products are
+exact, so a bucket has the bits of summing the devices' own products in
+device order, as the component allreduce's reduce-to-root does, at the
+cost of one product instead of P products and P - 1 adds. A layer holds
+its gradient, one bucket and the slices, ``3 * n * (in + out)`` doubles
+for an ``in -> out`` layer and batch ``n``, which costs less than the six
 components while ``n < 2 * in * out / (in + out)``. The comm log records
-the bytes the component allreduce of a P-device run moves. Nothing
-non-finite is applied: the loss and every gradient are checked before any
-device updates, and a failure raises ``FloatingPointError`` naming it.
+the bytes the stat (column-max) and component allreduces of a P-device
+run move. Nothing non-finite is applied: the loss and every gradient are
+checked before any device updates, and a failure raises
+``FloatingPointError`` naming it.
 
 A step holds each large buffer only until its last reader is done. The
 lookups go once every shard's forward/backward has run. The reduction
 takes the layers in order and consumes their traces: a layer's activations
-and output gradients are dropped as soon as each device's rows of the
-stacked slices are written, and the slices once the layer's gradients are
-made, so both MLPs' activations are gone before the embedding backward.
-Each table's batch gradient goes once its sparse backward has run, and the
-optimizers update in blocks (:mod:`dlrmkit.optim`). The high-water mark
-therefore comes at the end of the embedding backward and in the update,
-which hold every MLP gradient and every table gradient at once: the
-finiteness check must pass on all of them before any device applies one.
+and output gradients are dropped as soon as each device's rows are copied,
+and the slices once the layer's gradients are made, so both MLPs'
+activations are gone before the embedding backward. Each table's batch
+gradient goes once its sparse backward has run, and the optimizers update
+in blocks (:mod:`dlrmkit.optim`). The high-water mark therefore comes at
+the end of the embedding backward and in the update, which hold every MLP
+gradient and every table gradient at once: the finiteness check must pass
+on all of them before any device applies one.
 """
 
 from __future__ import annotations
@@ -98,30 +104,25 @@ __all__ = [
 class DevicePlan:
     num_devices: int
     table_assignment: list[int]   # table id -> owning device
-    shard_bounds: list[int]       # len num_devices + 1, contiguous sample ranges
+    batch_size: int
 
     def validate(self):
         if self.num_devices < 1:
             raise ValueError("need at least one device")
         if any(not 0 <= d < self.num_devices for d in self.table_assignment):
             raise ValueError("table assigned to a device outside the plan")
-        b = self.shard_bounds
-        if len(b) != self.num_devices + 1:
-            raise ValueError(
-                f"shard bounds need num_devices + 1 = {self.num_devices + 1} "
-                f"entries, got {len(b)}")
-        if b[0] != 0 or any(x > y for x, y in zip(b, b[1:])):
-            raise ValueError("shard bounds must start at 0 and be nondecreasing")
-        sizes = [y - x for x, y in zip(b, b[1:])]
-        if sizes and max(sizes) - min(sizes) > 1:
-            raise ValueError("shard sizes must differ by at most 1")
-
-    def shard(self, device: int) -> tuple[int, int]:
-        return self.shard_bounds[device], self.shard_bounds[device + 1]
+        if self.batch_size < 0:
+            raise ValueError(f"batch size {self.batch_size} is negative")
 
     @property
-    def batch_size(self) -> int:
-        return self.shard_bounds[-1]
+    def shard_bounds(self) -> list[int]:
+        """The devices' contiguous sample ranges, ``shard_bounds`` of the
+        batch: ``num_devices + 1`` entries from 0 to ``batch_size``."""
+        return shard_bounds(self.batch_size, self.num_devices)
+
+    def shard(self, device: int) -> tuple[int, int]:
+        bounds = self.shard_bounds
+        return bounds[device], bounds[device + 1]
 
 
 def partition_tables(table_sizes: list[int], num_devices: int) -> list[int]:
@@ -156,7 +157,7 @@ def make_plan(config: DlrmConfig, batch_size: int,
               num_devices: int) -> DevicePlan:
     sizes = [m * config.sparse_dim for m in config.embedding_sizes]
     plan = DevicePlan(num_devices, partition_tables(sizes, num_devices),
-                      shard_bounds(batch_size, num_devices))
+                      batch_size)
     plan.validate()
     return plan
 
@@ -286,8 +287,8 @@ class _ShardResult:
 
     per_sample_loss: np.ndarray
     probs: np.ndarray
-    bottom_traces: list[tuple[Matrix, Matrix, np.ndarray, np.ndarray]]
-    top_traces: list[tuple[Matrix, Matrix, np.ndarray, np.ndarray]]
+    bottom_traces: list[tuple[Matrix, Matrix]]
+    top_traces: list[tuple[Matrix, Matrix]]
     emb_grads: list[Matrix]     # ascending table id
 
 
@@ -321,13 +322,14 @@ def _forward_backward(bottom: MlpParams, top: MlpParams, dense_x: Matrix,
                         grad_embs)
 
 
-def _guard(fn, device: int):
-    """Run device ``device``'s work ``fn(device)``; a failure in it is
-    re-raised as ``device d: ...``, serial steps included (device 0)."""
+def _guard(fn, index: int, label: str = "device"):
+    """Run ``fn(index)``; a failure in it is re-raised as ``<label>
+    <index>: ...``, so ``device d: ...`` for a device's work, serial steps
+    included (device 0)."""
     try:
-        return fn(device)
+        return fn(index)
     except Exception as e:
-        raise RuntimeError(f"device {device}: {e}") from e
+        raise RuntimeError(f"{label} {index}: {e}") from e
 
 
 def _require_finite(values, what: str) -> None:
@@ -351,69 +353,55 @@ def _reduce_mlp_grads(traces_per_dev: list[list[tuple]], n_total: int,
                       bounds: list[int], which: str
                       ) -> tuple[MlpGrads, int, int]:
     """Exact full-batch gradients of one MLP (``which``, as errors name it)
-    from every device's per-layer ``mlp_backward_trace`` entries, plus the
+    from every device's per-layer ``mlp_backward_trace`` pairs, plus the
     per-replica payload bytes of the stat and component allreduces.
 
-    ``bounds`` are the devices' shard bounds. Per layer: allreduce of the
-    local column abs-maxima (the shared grids); one full-batch buffer per
-    slice level for each operand, into whose rows ``[lo_d, hi_d)`` each
-    device snaps its shard (``layer_grad_components``, under ``_guard``, in
-    ascending device order), after its trace's row count is checked against
-    its shard; then
-    one product per slice pair (bucket) and one column sum per bias level
-    over the stacked rows, each folded into the gradient as soon as it is
-    made (``sum_components``). Every partial sum of slice products is
-    exact, so a bucket equals, bit for bit, the ascending-device sum of the
-    devices' own products that the component ``allreduce`` (reduce to root)
-    gives, and the fold adds the buckets in the same order: the bits are
-    those of reducing every device's component lists. A weight gradient
-    holds two layer-sized buffers, the result and one bucket, besides the
-    stacked slices, ``LEVELS * n * (in + out)`` doubles. The payload is
-    that of the component lists a P-device run exchanges, computed from the
-    shapes, so the comm log does not depend on how the sum is formed.
+    ``bounds`` are the devices' shard bounds. Per layer, each device, in
+    ascending order and under ``_guard``, has its pair's row counts checked
+    against its shard and copies its ``x_l`` and ``gz_l`` into rows
+    ``[lo_d, hi_d)`` of one full-batch buffer per operand; then one
+    ``layer_grad_components`` call over the gathered rows, under ``_guard``
+    as ``<which> layer <l>``, makes the layer's (grad_W, grad_b), with the
+    bits of the per-device scheme (see the module docstring). The payloads
+    are those of the column maxima and component lists a P-device run
+    exchanges, computed from the shapes.
 
     The traces are consumed: each device's entry of a layer is set to None
-    as soon as its rows of the slices are written, and the layer's slices
-    are dropped once its gradients are made, so the activations and slices
-    of a layer are freed before the next layer's slices are allocated, and
-    none are left when this returns. Callers that need the traces
-    afterwards pass copies of the lists.
+    as soon as its rows are copied, and the gathered buffers, which become
+    slices, are dropped once the layer's gradients are made, so none are
+    left when this returns. Callers that need the traces afterwards pass
+    copies of the lists.
     """
-    levels = dense.LEVELS
-    shapes = [(t[3].size, t[2].size) for t in traces_per_dev[0]]
-    # Every weight gradient is allocated before any layer's slices, so each
+    shapes = [(gz.shape[1], x.shape[1]) for x, gz in traces_per_dev[0]]
+    # Every weight gradient is allocated before any layer's buffers, so each
     # layer's slices and bucket are freed together above them; allocated
     # between the slices, the kept gradients split the free heap and raised
     # desk-4dev's peak RSS.
     grads = MlpGrads([np.empty(shape) for shape in shapes], [])
     stat_payload = grad_payload = 0
 
-    def fill(d, l, x_max, g_max, gs, xs):
+    def hand_over(d, l, x_full, gz_full):
         lo, hi = bounds[d], bounds[d + 1]
-        x_l, gz_l = traces_per_dev[d][l][:2]
+        x_l, gz_l = traces_per_dev[d][l]
         traces_per_dev[d][l] = None
         for a in (x_l, gz_l):
             if a.shape[0] != hi - lo:
                 raise ValueError(f"{which} layer {l} trace has {a.shape[0]} "
                                  f"rows, shard is {hi - lo}")
-        layer_grad_components(x_l, gz_l, x_max, g_max, n_total,
-                              ([g[lo:hi] for g in gs], [x[lo:hi] for x in xs]))
+        x_full[lo:hi] = x_l
+        gz_full[lo:hi] = gz_l
 
     for l, (n_out, n_in) in enumerate(shapes):
-        x_max = allreduce_max([t[l][2] for t in traces_per_dev])
-        g_max = allreduce_max([t[l][3] for t in traces_per_dev])
-        gs = [np.empty((n_total, n_out)) for _ in range(levels)]
-        xs = [np.empty((n_total, n_in)) for _ in range(levels)]
+        x_full, gz_full = np.empty((n_total, n_in)), np.empty((n_total, n_out))
         for d in range(len(traces_per_dev)):
-            _guard(lambda d: fill(d, l, x_max, g_max, gs, xs), d)
-        weight = dense.sum_components(
-            dense.outer_sum_components(gs, xs, grads.weights[l]))
-        bias = dense.sum_components(dense.col_sum_components(gs))
-        del gs, xs
+            _guard(lambda d: hand_over(d, l, x_full, gz_full), d)
+        grads.weights[l], bias = _guard(lambda l: layer_grad_components(
+            x_full, gz_full, n_total, grads.weights[l]), l, f"{which} layer")
+        del x_full, gz_full
         grads.biases.append(bias)
-        stat_payload += x_max.nbytes + g_max.nbytes
-        grad_payload += (len(dense.CROSS_TERMS) * weight.nbytes
-                         + levels * bias.nbytes)
+        stat_payload += (n_in + n_out) * 8
+        grad_payload += (len(dense.CROSS_TERMS) * n_out * n_in
+                         + dense.LEVELS * n_out) * 8
     return grads, stat_payload, grad_payload
 
 
@@ -485,8 +473,8 @@ def _step(tables: list, replicas: list[tuple[MlpParams, MlpParams]],
                  plan.num_devices)
         _require_finite(loss, "loss")
 
-    # phase 4b: exact gradient allreduce, layer by layer, one bucket at a
-    # time over the devices' stacked slices
+    # phase 4b: exact gradient allreduce, layer by layer, over the rows the
+    # devices hand to one full-batch buffer per operand
     grads = {}
     for which in ("bottom", "top"):
         with timer.section(f"{which}_mlp"):
@@ -535,7 +523,7 @@ def train_step(model: DlrmModel, dense_x: Matrix,
     hybrid step on a one-device plan, whose shuffles move 0 bytes and whose
     reductions have one replica.
     """
-    plan = DevicePlan(1, [0] * len(model.tables), [0, dense_x.shape[0]])
+    plan = DevicePlan(1, [0] * len(model.tables), dense_x.shape[0])
     return _step(model.tables, [(model.bottom, model.top)], [optimizer],
                  plan, CommLog(), 0, dense_x, batches, labels,
                  timer or NullTimer())

@@ -317,24 +317,28 @@ class TraceGeneratorRef:
 
 def layer_components_ref(x, gz, x_max, g_max, n_total):
     """One shard's exact reduction components of one layer, all held at
-    once: the CROSS_TERMS slice products of ``gz`` and ``x``, and the
-    column sums of each ``gz`` slice."""
+    once: ``gz`` and ``x`` snapped on the grids of the shared column
+    abs-maxima ``g_max`` and ``x_max`` (``grid_components_ref``), their
+    CROSS_TERMS slice products and the column sums of each ``gz`` slice."""
     from dlrmkit import dense
 
-    gs = dense.grid_components(gz, g_max, n_total)
-    xs = dense.grid_components(x, x_max, n_total)
+    gs = grid_components_ref(gz, g_max, n_total)
+    xs = grid_components_ref(x, x_max, n_total)
     return ([gs[p - 1].T @ xs[q - 1] for p, q in dense.CROSS_TERMS],
             [g.sum(axis=0) for g in gs])
 
 
 def reduce_mlp_grads_ref(traces_per_dev, n_total):
-    """The MLP gradient reduction that holds every device's components.
+    """The distributed MLP gradient reduction, every device's components
+    held at once.
 
-    Per layer: max-allreduce of the local column abs-maxima, every device's
-    ``layer_components_ref``, one ``parallel.allreduce`` per component over
-    the per-device list (a lone device's used as is), and one
-    ``dense.sum_components`` rounding. Returns (weight grads, bias grads,
-    stat payload bytes, grad payload bytes).
+    Per layer: max-allreduce of each device's column abs-maxima of its
+    ``(x, gz)`` trace pair, every device's ``layer_components_ref`` on the
+    shared grids, one ``parallel.allreduce`` per component over the
+    per-device list (a lone device's used as is), and one
+    ``dense.sum_components`` rounding. The traces are left unchanged.
+    Returns (weight grads, bias grads, stat payload bytes, grad payload
+    bytes).
     """
     from dlrmkit import dense
     from dlrmkit.parallel import allreduce, allreduce_max
@@ -343,12 +347,17 @@ def reduce_mlp_grads_ref(traces_per_dev, n_total):
         return per_replica[0] if len(per_replica) == 1 else collective(
             per_replica)
 
+    def col_max(a):
+        return np.abs(a).max(axis=0, initial=0.0)
+
     weights, biases = [], []
     stat_payload = grad_payload = 0
     for l in range(len(traces_per_dev[0])):
-        x_max = combine(allreduce_max, [t[l][2] for t in traces_per_dev])
-        g_max = combine(allreduce_max, [t[l][3] for t in traces_per_dev])
-        comps = [layer_components_ref(*t[l][:2], x_max, g_max, n_total)
+        x_max = combine(allreduce_max, [col_max(t[l][0])
+                                        for t in traces_per_dev])
+        g_max = combine(allreduce_max, [col_max(t[l][1])
+                                        for t in traces_per_dev])
+        comps = [layer_components_ref(*t[l], x_max, g_max, n_total)
                  for t in traces_per_dev]
         w_comps = [combine(allreduce, [c[0][i] for c in comps])
                    for i in range(len(dense.CROSS_TERMS))]
@@ -399,7 +408,7 @@ def dlrm_forward_ref(model, dense_x, batches):
                            inter, top_cache, prob)
 
 
-def dlrm_backward_ref(model, cache, grad_logits, n_total=None):
+def dlrm_backward_ref(model, cache, grad_logits):
     """Gradients of every parameter from d(loss)/d(logits), one serial
     ``mlp_backward`` per MLP."""
     from dlrmkit.embedding import lookup_backward
@@ -407,11 +416,11 @@ def dlrm_backward_ref(model, cache, grad_logits, n_total=None):
 
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
     top_grads, grad_inter = mlp_backward(
-        model.top, cache.top_cache, grad_logits[:, None], n_total)
+        model.top, cache.top_cache, grad_logits[:, None])
     grad_dense_repr, grad_embs = interact_backward(
         cache.bottom_cache.post[-1], cache.emb_outputs, grad_inter)
     bottom_grads, _ = mlp_backward(
-        model.bottom, cache.bottom_cache, grad_dense_repr, n_total)
+        model.bottom, cache.bottom_cache, grad_dense_repr)
     table_grads = [lookup_backward(tb, sb, g)
                    for tb, sb, g in zip(model.tables, cache.batches,
                                         grad_embs)]

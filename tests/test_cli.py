@@ -507,6 +507,20 @@ class TestSyntheticMode:
         with pytest.raises(CliError, match="outside"):
             run_training(config, options)
 
+    @pytest.mark.parametrize("first_line, bad", [("-1 0 1 2", -1),
+                                                 ("0 1 12 2", 12)])
+    def test_profile_id_outside_the_table_exits_1(self, tmp_path, capsys,
+                                                  first_line, bad):
+        save_profile(profile_trace([1, 2, 1]), tmp_path / "table_1.profile")
+        path = tmp_path / "table_0.profile"
+        path.write_text(first_line + "\n1 1.0\n")
+        code = main(tiny_args(["--data-generation=synthetic",
+                               f"--synthetic-profiles={tmp_path}"]))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: profile for table 0 references id {bad} "
+            "outside [0, 12)\n")
+
     @pytest.mark.parametrize("batches, sizes, top, lengths", [
         (1, "12-90-30000", "10-1", [64, 360, 100000]),  # floor, 4m, cap
         (30, "12-9", "6-1", [480, 480]),                 # planned lookups

@@ -28,6 +28,18 @@ def test_demo_exits_0(name):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_dense_demo_checks_hold():
+    proc = run_demo("01_dense_kernels.py")
+    assert proc.returncode == 0, proc.stderr
+    for line in ("same seed, same draws: True",
+                 "derived substreams differ: True",
+                 "full product == stitched shard products: True",
+                 "whole-batch buckets equal the shard-by-shard sums bit for "
+                 "bit: True"):
+        assert line + "\n" in proc.stdout
+    assert "False" not in proc.stdout
+
+
 def test_parallel_demo_matches_serial():
     proc = run_demo("06_parallel_simulation.py")
     assert proc.returncode == 0, proc.stderr

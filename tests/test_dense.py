@@ -226,27 +226,31 @@ class TestRngStream:
         assert not np.array_equal(s.uniform(2, 2), s.uniform(2, 2))
 
 
-def _slices(a, amax, n_total, bounds=None):
-    """The slices of ``a`` in full-batch buffers, each shard cut at
-    ``bounds`` (one shard by default) snapped into its own rows, as the
-    parallel reduction fills them."""
-    bounds = bounds or [0, a.shape[0]]
-    out = [np.empty(a.shape) for _ in range(dense.LEVELS)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        dense.grid_components(a[lo:hi], amax, n_total,
-                              out=[o[lo:hi] for o in out])
-    return out
+def _slices(a, n_total, bounds=None):
+    """The slices of the batch ``a``: ``dense.grid_components`` of a copy,
+    or with ``bounds``, each shard's rows snapped alone on the batch's
+    grids (``grid_components_ref`` at its column abs-maxima) and stacked
+    in ascending order, as a per-device scheme makes them."""
+    if bounds is None:
+        return dense.grid_components(a.copy(), n_total)
+    amax = np.abs(a).max(axis=0)
+    return [np.concatenate(level) for level in zip(*(
+        grid_components_ref(a[lo:hi], amax, n_total)
+        for lo, hi in zip(bounds, bounds[1:])))]
 
 
-def _outer(gy, x, gmax, xmax, n_total, bounds=None):
-    """The weight buckets, copied, since the generator reuses its
-    buffer."""
-    return [c.copy() for c in dense.outer_sum_components(
-        _slices(gy, gmax, n_total, bounds), _slices(x, xmax, n_total, bounds))]
+def _buckets(gs, xs):
+    """The weight buckets of the slices, copied, since the generator
+    reuses its buffer."""
+    return [c.copy() for c in dense.outer_sum_components(gs, xs)]
 
 
-def _col(gy, gmax, n_total, bounds=None):
-    return list(dense.col_sum_components(_slices(gy, gmax, n_total, bounds)))
+def _outer(gy, x, n_total, bounds=None):
+    return _buckets(_slices(gy, n_total, bounds), _slices(x, n_total, bounds))
+
+
+def _col(gy, n_total, bounds=None):
+    return list(dense.col_sum_components(_slices(gy, n_total, bounds)))
 
 
 def _shard_sums(buckets_per_shard):
@@ -283,10 +287,8 @@ class TestPartitionInvariantReduction:
             if trial % 5 == 1:
                 gy[:, -1] = -0.0  # negative-zero column edge case
             b = gy.shape[0]
-            gmax = np.abs(gy).max(axis=0)
-            xmax = np.abs(x).max(axis=0)
-            full = _outer(gy, x, gmax, xmax, b)
-            fullb = _col(gy, gmax, b)
+            full = _outer(gy, x, b)
+            fullb = _col(gy, b)
             if trial % 5 == 1:
                 # the column's slices snap to +0.0, so its sums do too
                 assert not any(np.signbit(c[-1]) for c in fullb)
@@ -296,8 +298,8 @@ class TestPartitionInvariantReduction:
                 cut = sorted(rng.choice(np.arange(1, b), size=ndev - 1,
                                         replace=False).tolist())
                 bounds = [0] + cut + [b]
-                parts = _outer(gy, x, gmax, xmax, b, bounds)
-                partsb = _col(gy, gmax, b, bounds)
+                parts = _outer(gy, x, b, bounds)
+                partsb = _col(gy, b, bounds)
                 assert all(np.array_equal(f, p)
                            for f, p in zip(full, parts, strict=True))
                 assert all(np.array_equal(f, p)
@@ -305,7 +307,7 @@ class TestPartitionInvariantReduction:
                 # folding each bucket as it is drawn, in its reused buffer,
                 # gives the fold of the held buckets
                 folded = dense.sum_components(dense.outer_sum_components(
-                    _slices(gy, gmax, b, bounds), _slices(x, xmax, b, bounds)))
+                    _slices(gy, b, bounds), _slices(x, b, bounds)))
                 assert np.array_equal(folded, dense.sum_components(parts))
 
     def test_bucket_equals_ascending_shard_sum(self):
@@ -320,17 +322,18 @@ class TestPartitionInvariantReduction:
                 a[:, rng.integers(a.shape[1])] = (0.0, -0.0)[trial % 2]
                 a[rng.integers(a.shape[0]), rng.integers(a.shape[1])] = -0.0
             b = gy.shape[0]
-            gmax = np.abs(gy).max(axis=0)
-            xmax = np.abs(x).max(axis=0)
-            full = _outer(gy, x, gmax, xmax, b)
-            fullb = _col(gy, gmax, b)
+            full = _outer(gy, x, b)
+            fullb = _col(gy, b)
             for ndev in (2, 3, 4, 7):
                 cut = sorted(rng.integers(0, b + 1, size=ndev - 1).tolist())
                 bounds = [0] + cut + [b]
+                # each shard's own slices, on the batch's grids
+                gs, xs = _slices(gy, b, bounds), _slices(x, b, bounds)
                 shards = list(zip(bounds, bounds[1:]))
-                summed = _shard_sums([_outer(gy[lo:hi], x[lo:hi], gmax, xmax,
-                                             b) for lo, hi in shards])
-                summedb = _shard_sums([_col(gy[lo:hi], gmax, b)
+                summed = _shard_sums([_buckets([g[lo:hi] for g in gs],
+                                               [s[lo:hi] for s in xs])
+                                      for lo, hi in shards])
+                summedb = _shard_sums([[g[lo:hi].sum(axis=0) for g in gs]
                                        for lo, hi in shards])
                 assert _bytes(full) == _bytes(summed)
                 assert _bytes(fullb) == _bytes(summedb)
@@ -341,8 +344,7 @@ class TestPartitionInvariantReduction:
         for _ in range(20):
             gy, x = self._random_case(rng)
             b = gy.shape[0]
-            got = dense.sum_components(_outer(
-                gy, x, np.abs(gy).max(axis=0), np.abs(x).max(axis=0), b))
+            got = dense.sum_components(_outer(gy, x, b))
             exact = exact_batch_outer(gy, x)
             scale = (np.abs(gy).max(axis=0)[:, None]
                      * np.abs(x).max(axis=0)[None, :])
@@ -354,8 +356,7 @@ class TestPartitionInvariantReduction:
         rng = np.random.default_rng(22)
         gy = rng.standard_normal((57, 5)) * np.exp(
             rng.standard_normal((1, 5)) * 8)
-        got = dense.sum_components(_col(
-            gy, np.abs(gy).max(axis=0), 57))
+        got = dense.sum_components(_col(gy, 57))
         exact = np.array([math.fsum(gy[:, j]) for j in range(5)])
         assert np.allclose(got, exact, rtol=1e-12, atol=0.0)
 
@@ -372,18 +373,16 @@ class TestPartitionInvariantReduction:
             gy = rng.standard_normal((b, 4)) * g_scale
             x = rng.standard_normal((b, 4)) * x_scale * np.exp2(
                 -rng.integers(0, 61, size=(b, 1)))
-            gmax = np.abs(gy).max(axis=0)
-            xmax = np.abs(x).max(axis=0)
-            full = dense.sum_components(_outer(gy, x, gmax, xmax, b))
-            fullb = dense.sum_components(_col(gy, gmax, b))
+            full = dense.sum_components(_outer(gy, x, b))
+            fullb = dense.sum_components(_col(gy, b))
             for ndev in (2, 3):
                 cut = sorted(rng.choice(np.arange(1, b), size=ndev - 1,
                                         replace=False).tolist())
                 bounds = [0] + cut + [b]
                 assert np.array_equal(dense.sum_components(
-                    _outer(gy, x, gmax, xmax, b, bounds)), full)
+                    _outer(gy, x, b, bounds)), full)
                 assert np.array_equal(dense.sum_components(
-                    _col(gy, gmax, b, bounds)), fullb)
+                    _col(gy, b, bounds)), fullb)
 
     def test_reduction_bits_bound(self):
         for n in (1, 2, 9, 256, 2048):
@@ -392,31 +391,39 @@ class TestPartitionInvariantReduction:
 
     def test_grid_components_bits_and_allocations(self):
         # in place, the split gives the bits of the whole-array expressions
-        # and allocates only the kept slices and one remainder, plus the
-        # at most 8192-element buffer numpy may use for a broadcast
-        # operand; zero, -0.0, subnormal, tiny and NaN columns included
+        # at the batch's own column abs-maxima, makes ``a`` its last slice
+        # and allocates only the other slices and the abs-max temporary,
+        # plus the at most 8192-element buffer numpy may use for a
+        # broadcast operand; zero, -0.0, subnormal, tiny, NaN and +-inf
+        # columns, and batches with no rows or no columns, included
         rng = np.random.default_rng(24)
-        a = rng.standard_normal((128, 200)) * np.exp2(
+        batch = rng.standard_normal((128, 200)) * np.exp2(
             rng.integers(-60, 61, size=(1, 200)))
-        a[:, 0] = 0.0
-        a[:, 1] = -0.0
-        a[:, 2] *= 1e-310
-        a[:, 3] *= 1e-160
-        a[5, 4] = np.nan
-        a[::3, 5] = -0.0
-        col_max = np.abs(a).max(axis=0)
-        for n_total in (64, 256):
-            want = grid_components_ref(a, col_max, n_total)
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                got = dense.grid_components(a, col_max, n_total)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+        batch[:, 0] = 0.0
+        batch[:, 1] = -0.0
+        batch[:, 2] *= 1e-310
+        batch[:, 3] *= 1e-160
+        batch[5, 4] = np.nan
+        batch[::3, 5] = -0.0
+        batch[7, 6] = np.inf
+        batch[9, 7] = -np.inf
+        for n_total, a in ((64, batch.copy()), (256, batch.copy()),
+                           (8, np.empty((0, 3))), (8, np.empty((4, 0)))):
+            # inf - inf makes NaN remainders
+            with np.errstate(invalid="ignore"):
+                want = grid_components_ref(
+                    a, np.abs(a).max(axis=0, initial=0.0), n_total)
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    got = dense.grid_components(a, n_total)
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+            assert got[-1] is a
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-            assert peak <= (dense.LEVELS + 1) * a.nbytes + 96 * 1024
+            assert peak <= dense.LEVELS * a.nbytes + 96 * 1024
 
 
 class TestKernelWorkers:
@@ -489,8 +496,8 @@ class TestPooledKernels:
             gy = rng.standard_normal((n, rows)) * np.exp(
                 rng.standard_normal((1, rows)) * 8)
             x = rng.standard_normal((n, cols))
-            gs = dense.grid_components(gy, np.abs(gy).max(axis=0), n)
-            xs = dense.grid_components(x, np.abs(x).max(axis=0), n)
+            gs = dense.grid_components(gy, n)
+            xs = dense.grid_components(x, n)
 
             def buckets():
                 return [b.tobytes() for b in dense.outer_sum_components(gs, xs)]
@@ -528,7 +535,7 @@ class TestPooledKernels:
         rng = np.random.default_rng(32)
         matmul(rng.standard_normal((256, 4)), rng.standard_normal((4, 3)))
         tiny = rng.standard_normal((256, 3))
-        gs = dense.grid_components(tiny, np.abs(tiny).max(axis=0), 256)
+        gs = dense.grid_components(tiny, 256)
         dense.sum_components(dense.outer_sum_components(gs, gs))
         assert submits == []
         # a desk batch through the top MLP's 1024 x 1024 layer: its four
@@ -537,7 +544,7 @@ class TestPooledKernels:
                rng.standard_normal((1024, 1024)))
         assert submits == [1]
         big = rng.standard_normal((256, 1024))
-        gs = dense.grid_components(big, np.abs(big).max(axis=0), 256)
+        gs = dense.grid_components(big, 256)
         dense.sum_components(dense.outer_sum_components(gs, gs))
         assert submits == [1] * (1 + len(dense.CROSS_TERMS))
 

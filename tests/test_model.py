@@ -124,11 +124,24 @@ class TestMlpBackward:
 
     @staticmethod
     def _layer_grads(x, gz):
-        gs, xs = layer_grad_components(
-            x, gz, np.abs(x).max(axis=0), np.abs(gz).max(axis=0),
-            x.shape[0])
-        return (dense.sum_components(dense.outer_sum_components(gs, xs)),
-                dense.sum_components(dense.col_sum_components(gs)))
+        return layer_grad_components(x.copy(), gz.copy(), x.shape[0])
+
+    def test_cache_and_output_gradient_are_left_unchanged(self):
+        # the layer reduction snaps its operands in place, so it must only
+        # get arrays nobody else reads: the cache and grad_y keep every bit
+        rng = RngStream(9)
+        p = MlpParams([MlpLayer(rng.normal(4, 3), rng.normal(1, 4)[0], "relu"),
+                       MlpLayer(rng.normal(5, 4), rng.normal(1, 5)[0],
+                                "identity"),
+                       MlpLayer(rng.normal(2, 5), rng.normal(1, 2)[0],
+                                "sigmoid")])
+        x = rng.normal(7, 3)
+        _, cache = mlp_forward(p, x)
+        grad_y = rng.normal(7, 2)
+        arrays = [cache.x0, *cache.pre, *cache.post, grad_y]
+        before = [a.tobytes() for a in arrays]
+        mlp_backward(p, cache, grad_y)
+        assert [a.tobytes() for a in arrays] == before
 
     def test_nan_gradient_column_propagates(self):
         rng = np.random.default_rng(7)

@@ -112,28 +112,29 @@ class TestShardBounds:
         sizes = np.diff(shard_bounds(10, 3))
         assert sizes.tolist() == [4, 3, 3]
 
-    def test_plan_validation(self):
-        plan = DevicePlan(2, [0, 1], [0, 1, 4])
-        with pytest.raises(ValueError):
-            plan.validate()
+    @pytest.mark.parametrize("batch, ndev", [(8, 4), (9, 4), (3, 5), (1, 1)])
+    def test_plan_shards_are_shard_bounds(self, batch, ndev):
+        plan = DevicePlan(ndev, [0], batch)
+        assert plan.shard_bounds == shard_bounds(batch, ndev)
+        assert [plan.shard(d) for d in range(ndev)] == list(
+            zip(plan.shard_bounds, plan.shard_bounds[1:]))
 
-    @pytest.mark.parametrize("bounds", [[0, 4], [0, 2, 3, 4]])
-    def test_bounds_need_one_entry_per_device_plus_one(self, bounds):
-        plan = DevicePlan(2, [0, 1], bounds)
-        with pytest.raises(ValueError, match=rf"= 3 entries, got {len(bounds)}"):
-            plan.validate()
+    def test_plan_rejects_a_negative_batch(self):
+        with pytest.raises(ValueError, match="^batch size -3 is negative$"):
+            DevicePlan(2, [0], -3).validate()
 
-    def test_trainer_rejects_short_bounds_at_construction(self):
+    def test_trainer_validates_its_plan_at_construction(self):
         cfg = toy_config(seed=51)
         model = init_model(cfg)
-        with pytest.raises(ValueError, match="= 3 entries, got 2"):
-            ParallelTrainer(model, DevicePlan(2, [0, 1, 1], [0, 4]),
-                            "sgd", 0.1)
+        with pytest.raises(ValueError,
+                           match="^table assigned to a device outside the "
+                                 "plan$"):
+            ParallelTrainer(model, DevicePlan(2, [0, 1, 2], 4), "sgd", 0.1)
 
 
 class TestButterflyShuffle:
     def test_single_device_identity(self):
-        plan = DevicePlan(1, [0, 0], [0, 4])
+        plan = DevicePlan(1, [0, 0], 4)
         rng = RngStream(31)
         outs = {0: rng.normal(4, 3), 1: rng.normal(4, 3)}
         shuffled = butterfly_shuffle(outs, plan)
@@ -142,7 +143,7 @@ class TestButterflyShuffle:
             assert np.array_equal(s, outs[t])
 
     def test_two_devices_two_tables_hand_enumerated(self):
-        plan = DevicePlan(2, [0, 1], [0, 2, 4])
+        plan = DevicePlan(2, [0, 1], 4)
         rng = RngStream(32)
         outs = {0: rng.normal(4, 3), 1: rng.normal(4, 3)}
         comm = CommLog()
@@ -158,7 +159,7 @@ class TestButterflyShuffle:
 
     def test_multiset_conservation(self):
         cfg_sizes = [6, 6, 6]
-        plan = DevicePlan(3, partition_tables(cfg_sizes, 3), shard_bounds(7, 3))
+        plan = DevicePlan(3, partition_tables(cfg_sizes, 3), 7)
         rng = RngStream(33)
         outs = {t: rng.normal(7, 2) for t in range(3)}
         shuffled = butterfly_shuffle(outs, plan)
@@ -175,7 +176,7 @@ class TestButterflyShuffle:
         assert seen == expect
 
     def test_inverse_shuffle_reconstructs(self):
-        plan = DevicePlan(2, [0, 1, 1], shard_bounds(5, 2))
+        plan = DevicePlan(2, [0, 1, 1], 5)
         rng = RngStream(34)
         full = {t: rng.normal(5, 3) for t in range(3)}
         per_dev = []
@@ -187,7 +188,7 @@ class TestButterflyShuffle:
             assert np.array_equal(back[t], full[t])
 
     def test_row_count_checked(self):
-        plan = DevicePlan(1, [0], [0, 4])
+        plan = DevicePlan(1, [0], 4)
         with pytest.raises(ValueError):
             butterfly_shuffle({0: np.zeros((3, 2))}, plan)
 
@@ -388,20 +389,18 @@ def _peak(fn):
 
 
 def _layer_traces(x, gz, ndev):
-    """One layer's ``mlp_backward_trace`` entries on each of ``ndev``
+    """One layer's ``mlp_backward_trace`` pairs on each of ``ndev``
     devices, sharded as ``shard_bounds`` cuts the batch."""
     bounds = shard_bounds(x.shape[0], ndev)
-    return [[(x[lo:hi], gz[lo:hi],
-              np.abs(x[lo:hi]).max(axis=0, initial=0.0),
-              np.abs(gz[lo:hi]).max(axis=0, initial=0.0))]
-            for lo, hi in zip(bounds, bounds[1:])]
+    return [[(x[lo:hi], gz[lo:hi])] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class TestStreamedReduction:
-    """``_reduce_mlp_grads`` stacks the devices' slices and makes one
-    product (bucket) per slice pair over all of them, folding it into the
-    gradient at once; it must give the bits and payload bytes of the
-    reduction that builds every device's components first and allreduces
+    """``_reduce_mlp_grads`` gathers the devices' rows, snaps them once and
+    makes one product (bucket) per slice pair over all of them, folding it
+    into the gradient at once; it must give the bits and payload bytes of
+    the distributed scheme, in which every device snaps its own shard on
+    grids shared by a max-allreduce, builds its components and allreduces
     them (``reduce_mlp_grads_ref``)."""
 
     @pytest.mark.parametrize("batch", [5, 16])
@@ -454,7 +453,7 @@ class TestStreamedReduction:
         # n < 2 * in * out / (in + out) = 256 under which the stacked slices
         # cost less than the components they replace. Any device count
         # holds the slices, the gradient and one bucket: the devices' rows
-        # share the stacked buffers and each bucket is one product, so 4
+        # share the gathered buffers and each bucket is one product, so 4
         # devices need no more than one. The slack covers the vectors
         # (column maxima, bias buckets).
         n, width = 128, 256
@@ -514,6 +513,8 @@ class TestStreamedReduction:
 
 
 def _fail_third_gradient_contribution(monkeypatch):
+    # one call per layer, bottom MLP first: toy_config's bottom MLP has one
+    # layer, so the third call is the top MLP's layer 1
     calls = []
     real = parallel.layer_grad_components
 
@@ -527,15 +528,18 @@ def _fail_third_gradient_contribution(monkeypatch):
 
 
 class TestErrors:
-    def test_failing_gradient_contribution_names_its_device(
+    def test_failing_layer_gradient_names_its_mlp_and_layer(
             self, monkeypatch):
         _fail_third_gradient_contribution(monkeypatch)
         cfg = toy_config(seed=51)
-        trainer = ParallelTrainer(init_model(cfg), make_plan(cfg, 8, 4),
-                                  "sgd", 0.1)
+        model = init_model(cfg)
+        trainer = ParallelTrainer(model, make_plan(cfg, 8, 4), "sgd", 0.1)
         batch = gen_batches(cfg, 8, 1, seed=62)[0]
-        with pytest.raises(RuntimeError, match="^device 2: injected$"):
+        with pytest.raises(RuntimeError, match="^top MLP layer 1: injected$"):
             trainer.step(*batch)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            model_arrays(model), model_arrays(init_model(cfg)), strict=True))
+        assert trainer.max_replica_divergence() == 0.0
 
     def test_short_trace_names_its_device_mlp_and_layer(self, monkeypatch):
         # device 2 of 4 hands the reduction a top MLP layer 1 trace one row
@@ -552,8 +556,8 @@ class TestErrors:
             calls.append(params)
             if len(calls) == 5:     # device 2's top MLP sweep
                 assert params is trainer.replicas[2][1]
-                x, gz, x_max, gz_max = traces[1]
-                traces[1] = (x[:-1], gz[:-1], x_max, gz_max)
+                x, gz = traces[1]
+                traces[1] = (x[:-1], gz[:-1])
             return traces, grad_x
 
         monkeypatch.setattr(parallel, "mlp_backward_trace", short_on_device_2)
@@ -564,12 +568,16 @@ class TestErrors:
         assert all(np.array_equal(a, b) for a, b in zip(
             model_arrays(model), model_arrays(init_model(cfg)), strict=True))
 
-    def test_failing_serial_step_names_device_0(self, monkeypatch):
+    def test_failing_serial_layer_gradient_names_its_mlp_and_layer(
+            self, monkeypatch):
         _fail_third_gradient_contribution(monkeypatch)
         cfg = toy_config(seed=51)
+        model = init_model(cfg)
         batch = gen_batches(cfg, 8, 1, seed=62)[0]
-        with pytest.raises(RuntimeError, match="^device 0: injected$"):
-            train_step(init_model(cfg), *batch, make_optimizer("sgd", 0.1))
+        with pytest.raises(RuntimeError, match="^top MLP layer 1: injected$"):
+            train_step(model, *batch, make_optimizer("sgd", 0.1))
+        assert all(np.array_equal(a, b) for a, b in zip(
+            model_arrays(model), model_arrays(init_model(cfg)), strict=True))
 
     def test_serial_lookup_failure_names_device_0(self):
         cfg = toy_config(seed=49)

@@ -13,8 +13,12 @@ The pooled case runs both with every kernel's independent calls on three
 threads, however small; under numpy's GEMM its parameters must also equal
 the inline serial ones byte for byte.
 
-The search is derandomized and keeps no example database, so every run
-checks the same examples; a failure prints the shrunk ``Case``.
+A second property replays the command line: two in-process runs of the
+same tiny flag set give byte-identical metric lines and comm reports, and
+its one-device run gives the metric lines of its N-device run.
+
+The searches are derandomized and keep no example database, so every run
+checks the same examples; a failure prints the shrunk ``Case`` or flags.
 """
 
 from dataclasses import dataclass
@@ -24,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlrmkit import cli
 from dlrmkit.embedding import SparseBatch, offsets_from_lengths
 from dlrmkit.model import DlrmConfig, init_model
 from dlrmkit.optim import make_optimizer
@@ -154,3 +159,45 @@ def test_pooled_serial_and_parallel_steps_agree(gemm, case):
         params = check_serial_equals_parallel(case)
     if gemm == "blas":
         assert params == serial_params(case)
+
+
+@st.composite
+def cli_flags(draw) -> tuple[list[str], int]:
+    """A tiny flag set, without ``--num-devices``, and a device count."""
+    sizes = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))
+    d = draw(st.sampled_from([1, 2, 4]))
+    batch = draw(st.integers(1, 9))
+    flags = [
+        "--arch-embedding-size=" + "-".join(map(str, sizes)),
+        f"--arch-sparse-feature-size={d}",
+        f"--arch-mlp-bot=3-{d}",
+        "--arch-mlp-top=4-1",
+        f"--mini-batch-size={batch}",
+        f"--num-indices-per-lookup={draw(st.integers(1, min(sizes + [3])))}",
+        f"--num-batches={draw(st.integers(1, 3))}",
+        "--optimizer=" + draw(st.sampled_from(["sgd", "adagrad"])),
+        "--data-generation=" + draw(st.sampled_from(["random", "synthetic"])),
+        "--mode=" + draw(st.sampled_from(["train", "benchmark"])),
+        f"--seed={draw(st.integers(0, 2 ** 16))}",
+        "--emit=json",
+    ]
+    return flags, draw(st.integers(1, batch))
+
+
+def cli_run(flags: list[str]) -> tuple[list[str], str | None]:
+    """The metric lines and comm report of one in-process run."""
+    config, options = cli.parse_args(flags)
+    runner = (cli.run_training if options.mode == "train"
+              else cli.run_benchmark)
+    report, metric_lines = runner(config, options)
+    return metric_lines, report.comm_report
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(drawn=cli_flags())
+def test_same_flags_replay_byte_for_byte(drawn):
+    flags, num_devices = drawn
+    devices = [*flags, f"--num-devices={num_devices}"]
+    first = cli_run(devices)
+    assert cli_run(devices) == first
+    assert cli_run(flags)[0] == first[0]
