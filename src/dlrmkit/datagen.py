@@ -126,6 +126,29 @@ class TraceProfile:
             raise ValueError("distances must be nonnegative")
         if self.probabilities and max(self.probabilities) > len(self.uniques):
             raise ValueError("distance support exceeds unique count")
+        seen = set()
+        for u in self.uniques:
+            if u in seen:
+                raise ValueError(f"unique id {u} is listed twice")
+            seen.add(u)
+
+
+def _check_ids(tr) -> None:
+    """Reject a trace holding an id that is not an integer: a fractional,
+    NaN or infinite value raises a ``ValueError`` naming its first flat
+    position instead of being truncated, as ``embedding._integral`` does for
+    indices. Integers of any size pass."""
+    raw = np.asarray(tr)
+    if raw.dtype.kind in "iu":
+        return
+    for k, a in enumerate(raw.flat):
+        try:
+            whole = int(a) == a
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise ValueError(
+                f"ids must be integers, got {a} at flat position {k}")
 
 
 def profile_trace(tr) -> TraceProfile:
@@ -145,8 +168,9 @@ def profile_trace(tr) -> TraceProfile:
     ``np.searchsorted``. That is O(log n) whole-array passes, O(n log^2 n)
     work and O(n) memory for n accesses, with no Python loop per access.
     Ids outside int64 are first coded 0, 1, ... in first-touch order
-    through a dict.
+    through a dict; a non-integral id is rejected (``_check_ids``).
     """
+    _check_ids(tr)
     if isinstance(tr, np.ndarray) and not np.can_cast(tr.dtype, np.int64):
         tr = tr.tolist()    # as Python numbers, converted as int() would
     code = None
@@ -293,10 +317,12 @@ def default_first_touch_floor(profile: TraceProfile, length: int,
 # cache validation
 
 def lru_hit_rate(tr, capacity: int) -> float:
-    """Fraction of accesses hitting a capacity-bounded LRU set."""
+    """Fraction of accesses hitting a capacity-bounded LRU set; a
+    non-integral id is rejected (``_check_ids``)."""
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
     tr = list(tr)
+    _check_ids(tr)
     if not tr:
         return 0.0
     if capacity == 0:

@@ -18,37 +18,38 @@ products at the shard's batch positions (``dense.matmul``'s ``first_row``),
 so its rows go through the serial run's GEMM calls; cross-sample gradient
 reductions use the exact grid components from :mod:`dlrmkit.dense`
 (invariant to contiguous partitioning), and every collective reduces in
-ascending replica order. For the MLP gradient allreduce, every device
-copies its shard of a layer's input and output gradient into its own rows
-of one full-batch buffer per operand, in ascending device order, and one
-``model.layer_grad_components`` call, through which every layer gradient
-goes, snaps the gathered rows onto their grids and makes one product per
-component (slice pair, bucket), folded into the gradient as soon as it is
-made. A column's abs-max is exact over any partition of the rows and a
-snap is elementwise, so these are the slices each device would snap on
-grids shared by a max-allreduce; the partial sums of slice products are
-exact, so a bucket has the bits of summing the devices' own products in
-device order, as the component allreduce's reduce-to-root does, at the
-cost of one product instead of P products and P - 1 adds. A layer holds
-its gradient, one bucket and the slices, ``3 * n * (in + out)`` doubles
-for an ``in -> out`` layer and batch ``n``, which costs less than the six
-components while ``n < 2 * in * out / (in + out)``. The comm log records
-the bytes the stat (column-max) and component allreduces of a P-device
-run move. Nothing non-finite is applied: the loss and every gradient are
-checked before any device updates, and a failure raises
-``FloatingPointError`` naming it.
+ascending replica order. Every hand-off from the devices to the full batch
+(the per-sample losses and probabilities, each MLP layer's input and
+output gradient, each table's gradient) is one ``_gather``: each device's
+shard is copied into its own rows of one full-batch array, in ascending
+device order. One ``model.layer_grad_components`` call, through which
+every layer gradient goes, snaps a layer's gathered rows onto their grids
+and makes one product per component (slice pair, bucket), folded into the
+gradient as soon as it is made. A column's abs-max is exact over any
+partition of the rows and a snap is elementwise, so these are the slices
+each device would snap on grids shared by a max-allreduce; the partial
+sums of slice products are exact, so a bucket has the bits of summing the
+devices' own products in device order, as the component allreduce's
+reduce-to-root does, at the cost of one product instead of P products and
+P - 1 adds. A layer holds its gradient, one bucket and the slices,
+``3 * n * (in + out)`` doubles for an ``in -> out`` layer and batch ``n``,
+which costs less than the six components while
+``n < 2 * in * out / (in + out)``. The comm log records the bytes the stat
+(column-max) and component allreduces of a P-device run move. Nothing
+non-finite is applied: the loss and every gradient are checked before any
+device updates, and a failure raises ``FloatingPointError`` naming it.
 
 A step holds each large buffer only until its last reader is done. The
 lookups go once every shard's forward/backward has run. The reduction
 takes the layers in order and consumes their traces: a layer's activations
-and output gradients are dropped as soon as each device's rows are copied,
-and the slices once the layer's gradients are made, so both MLPs'
-activations are gone before the embedding backward. Each table's batch
-gradient goes once its sparse backward has run, and the optimizers update
-in blocks (:mod:`dlrmkit.optim`). The high-water mark therefore comes at
-the end of the embedding backward and in the update, which hold every MLP
-gradient and every table gradient at once: the finiteness check must pass
-on all of them before any device applies one.
+and output gradients are dropped once they are gathered, and the slices
+once the layer's gradients are made, so both MLPs' activations are gone
+before the embedding backward. Each table's batch gradient goes once its
+sparse backward has run, and the optimizers update in blocks
+(:mod:`dlrmkit.optim`). The high-water mark therefore comes at the end of
+the embedding backward and in the update, which hold every MLP gradient
+and every table gradient at once: the finiteness check must pass on all
+of them before any device applies one.
 """
 
 from __future__ import annotations
@@ -216,27 +217,15 @@ def inverse_shuffle(per_device_grads: list[list[Matrix]],
 
     Input: per device, one (shard x d) gradient slice per table in
     ascending table id, as ``butterfly_shuffle`` hands them out. Output: table
-    id -> full (batch x d) gradient, rows concatenated in ascending device
-    (= sample) order on the owner.
+    id -> full (batch x d) gradient on the owner, each table's slices
+    ``_gather``-ed in ascending device (= sample) order.
     """
-    num_tables = len(plan.table_assignment)
     moved = 0
     full: dict[int, Matrix] = {}
-    for t in range(num_tables):
-        owner = plan.table_assignment[t]
-        parts = []
-        for dev in range(plan.num_devices):
-            g = per_device_grads[dev][t]
-            lo, hi = plan.shard(dev)
-            if g.shape[0] != hi - lo:
-                raise ValueError(
-                    f"device {dev} grad for table {t} has {g.shape[0]} rows, "
-                    f"shard is {hi - lo}"
-                )
-            parts.append(g)
-            if dev != owner:
-                moved += g.nbytes
-        full[t] = np.concatenate(parts, axis=0) if parts else np.empty((0, 0))
+    for t, owner in enumerate(plan.table_assignment):
+        parts = [grads[t] for grads in per_device_grads]
+        full[t] = _gather(parts, plan.shard_bounds, f"table {t} gradient")
+        moved += sum(g.nbytes for d, g in enumerate(parts) if d != owner)
     if comm is not None:
         comm.add(step, "grad_reverse_shuffle", moved, plan.num_devices)
     return full
@@ -332,6 +321,27 @@ def _guard(fn, index: int, label: str = "device"):
         raise RuntimeError(f"{label} {index}: {e}") from e
 
 
+def _gather(parts, bounds: list[int], what: str) -> np.ndarray:
+    """``bounds[-1]`` rows whose rows ``[bounds[d], bounds[d + 1])`` are
+    ``parts[d]``, copied in ascending device order, each under ``_guard``.
+    A part without its shard's rows raises ``device d: <what> has r rows,
+    shard is s``; one without part 0's trailing shape names both shapes."""
+    full = np.empty((bounds[-1], *parts[0].shape[1:]), parts[0].dtype)
+
+    def copy(d):
+        part, rows = parts[d], full[bounds[d]:bounds[d + 1]]
+        if part.shape != rows.shape:
+            raise ValueError(
+                f"{what} has {len(part)} rows, shard is {len(rows)}"
+                if len(part) != len(rows) else
+                f"{what} has shape {part.shape}, shard is {rows.shape}")
+        rows[...] = part
+
+    for d in range(len(bounds) - 1):
+        _guard(copy, d)
+    return full
+
+
 def _require_finite(values, what: str) -> None:
     """Stop the step before its update when ``values`` holds a NaN or an
     infinity: raise ``FloatingPointError("<what> is not finite")``.
@@ -349,28 +359,24 @@ def _require_finite(values, what: str) -> None:
         raise FloatingPointError(f"{what} is not finite")
 
 
-def _reduce_mlp_grads(traces_per_dev: list[list[tuple]], n_total: int,
-                      bounds: list[int], which: str
-                      ) -> tuple[MlpGrads, int, int]:
+def _reduce_mlp_grads(traces_per_dev: list[list[tuple]], bounds: list[int],
+                      which: str) -> tuple[MlpGrads, int, int]:
     """Exact full-batch gradients of one MLP (``which``, as errors name it)
     from every device's per-layer ``mlp_backward_trace`` pairs, plus the
     per-replica payload bytes of the stat and component allreduces.
 
-    ``bounds`` are the devices' shard bounds. Per layer, each device, in
-    ascending order and under ``_guard``, has its pair's row counts checked
-    against its shard and copies its ``x_l`` and ``gz_l`` into rows
-    ``[lo_d, hi_d)`` of one full-batch buffer per operand; then one
-    ``layer_grad_components`` call over the gathered rows, under ``_guard``
-    as ``<which> layer <l>``, makes the layer's (grad_W, grad_b), with the
-    bits of the per-device scheme (see the module docstring). The payloads
-    are those of the column maxima and component lists a P-device run
+    Per layer, the devices' ``x_l`` and then their ``gz_l`` are gathered
+    over ``bounds`` (``_gather`` as ``<which> layer <l> trace``), and one
+    ``layer_grad_components`` call over the full batch, under ``_guard`` as
+    ``<which> layer <l>``, makes the layer's (grad_W, grad_b) with the bits
+    of the per-device scheme (see the module docstring). The payloads are
+    those of the column maxima and component lists a P-device run
     exchanges, computed from the shapes.
 
-    The traces are consumed: each device's entry of a layer is set to None
-    as soon as its rows are copied, and the gathered buffers, which become
-    slices, are dropped once the layer's gradients are made, so none are
-    left when this returns. Callers that need the traces afterwards pass
-    copies of the lists.
+    The traces are consumed: a layer's entries are set to None as it is
+    gathered, and the gathered buffers, which become slices, are dropped
+    once its gradients are made, so none are left when this returns.
+    Callers that need the traces afterwards pass copies of the lists.
     """
     shapes = [(gz.shape[1], x.shape[1]) for x, gz in traces_per_dev[0]]
     # Every weight gradient is allocated before any layer's buffers, so each
@@ -379,24 +385,16 @@ def _reduce_mlp_grads(traces_per_dev: list[list[tuple]], n_total: int,
     # desk-4dev's peak RSS.
     grads = MlpGrads([np.empty(shape) for shape in shapes], [])
     stat_payload = grad_payload = 0
-
-    def hand_over(d, l, x_full, gz_full):
-        lo, hi = bounds[d], bounds[d + 1]
-        x_l, gz_l = traces_per_dev[d][l]
-        traces_per_dev[d][l] = None
-        for a in (x_l, gz_l):
-            if a.shape[0] != hi - lo:
-                raise ValueError(f"{which} layer {l} trace has {a.shape[0]} "
-                                 f"rows, shard is {hi - lo}")
-        x_full[lo:hi] = x_l
-        gz_full[lo:hi] = gz_l
-
     for l, (n_out, n_in) in enumerate(shapes):
-        x_full, gz_full = np.empty((n_total, n_in)), np.empty((n_total, n_out))
-        for d in range(len(traces_per_dev)):
-            _guard(lambda d: hand_over(d, l, x_full, gz_full), d)
+        xs, gzs = zip(*(trace[l] for trace in traces_per_dev))
+        for trace in traces_per_dev:
+            trace[l] = None
+        x_full, gz_full = (_gather(parts, bounds, f"{which} layer {l} trace")
+                           for parts in (xs, gzs))
+        del xs, gzs
         grads.weights[l], bias = _guard(lambda l: layer_grad_components(
-            x_full, gz_full, n_total, grads.weights[l]), l, f"{which} layer")
+            x_full, gz_full, bounds[-1], grads.weights[l]), l,
+            f"{which} layer")
         del x_full, gz_full
         grads.biases.append(bias)
         stat_payload += (n_in + n_out) * 8
@@ -463,8 +461,10 @@ def _step(tables: list, replicas: list[tuple[MlpParams, MlpParams]],
 
     # phase 4a: loss/accuracy gather (per-sample values, ascending order)
     with timer.section("loss"):
-        per_sample = np.concatenate([r.per_sample_loss for r in shards])
-        probs = np.concatenate([r.probs for r in shards])
+        per_sample = _gather([r.per_sample_loss for r in shards],
+                             plan.shard_bounds, "per-sample loss")
+        probs = _gather([r.probs for r in shards], plan.shard_bounds,
+                        "probabilities")
         loss = float(per_sample.mean())
         acc = float(np.mean((probs > 0.5) == (labels > 0.5)))
         comm.add(step_idx, "loss_gather",
@@ -473,13 +473,12 @@ def _step(tables: list, replicas: list[tuple[MlpParams, MlpParams]],
                  plan.num_devices)
         _require_finite(loss, "loss")
 
-    # phase 4b: exact gradient allreduce, layer by layer, over the rows the
-    # devices hand to one full-batch buffer per operand
+    # phase 4b: exact gradient allreduce, layer by layer, over gathered rows
     grads = {}
     for which in ("bottom", "top"):
         with timer.section(f"{which}_mlp"):
             grads[which], stat_payload, grad_payload = _reduce_mlp_grads(
-                [getattr(r, f"{which}_traces") for r in shards], n_total,
+                [getattr(r, f"{which}_traces") for r in shards],
                 plan.shard_bounds, f"{which} MLP")
             for l, (w, b) in enumerate(zip(grads[which].weights,
                                            grads[which].biases)):

@@ -521,6 +521,20 @@ class TestSyntheticMode:
             f"error: {path}: profile for table 0 references id {bad} "
             "outside [0, 12)\n")
 
+    def test_profile_repeating_a_unique_id_exits_1(self, tmp_path, capsys):
+        # before the check, the first-touch mass of the repeated id was lost
+        for t in range(2):
+            (tmp_path / f"table_{t}.profile").write_text(
+                "1 1 2\n0 0.5\n1 0.5\n")
+        code = main(tiny_args([
+            "--data-generation=synthetic", f"--synthetic-profiles={tmp_path}",
+            "--arch-embedding-size=8-8", "--mini-batch-size=4",
+            "--num-indices-per-lookup=2"]))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'table_0.profile'}: unique id 1 is listed "
+            "twice\n")
+
     @pytest.mark.parametrize("batches, sizes, top, lengths", [
         (1, "12-90-30000", "10-1", [64, 360, 100000]),  # floor, 4m, cap
         (30, "12-9", "6-1", [480, 480]),                 # planned lookups

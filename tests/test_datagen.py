@@ -163,6 +163,30 @@ class TestProfileTrace:
         assert_profile_equals_oracle(trace)
         assert profile_trace(trace).uniques == [big, 5, small, 0, 2**62]
 
+    @pytest.mark.parametrize("trace, bad, position", [
+        ([1.5, 1.7, 2.2], "1.5", 0),
+        ([1, 2, 2.5], "2.5", 2),
+        ([3, math.nan], "nan", 1),
+        ([2**63, -math.inf], "-inf", 1),
+        ([10**400, 7, 0.5], "0.5", 2),
+        (np.array([[4.0, 4.0], [4.25, 1.0]]), "4.25", 2),
+    ], ids=["fractions", "fraction-after-ints", "nan", "inf-beyond-int64",
+            "fraction-after-a-huge-int", "2-d-float-array"])
+    def test_non_integral_id_rejected(self, trace, bad, position):
+        message = (f"^ids must be integers, got {bad} at flat position "
+                   f"{position}$")
+        with pytest.raises(ValueError, match=message):
+            profile_trace(trace)
+        with pytest.raises(ValueError, match=message):
+            lru_hit_rate(trace, 2)
+
+    def test_integral_floats_and_ids_of_any_size_pass(self):
+        assert profile_trace([1.0, 2.0, 1.0]) == profile_trace([1, 2, 1])
+        huge = 10**400
+        assert profile_trace([huge, 3, huge]).uniques == [huge, 3]
+        assert lru_hit_rate([huge, 3, huge], 2) == 1 / 3
+        assert lru_hit_rate(np.array([1.0, 1.0]), 1) == 0.5
+
     @given(st.one_of(
         st.lists(st.integers(min_value=0, max_value=9), max_size=300),
         st.lists(st.integers(min_value=0, max_value=10**6), unique=True,
@@ -301,6 +325,18 @@ class TestLruHitRate:
     def test_eviction_is_lru(self):
         # capacity 2: access pattern [1,2,1,3,1] keeps 1 hot, evicts 2
         assert lru_hit_rate([1, 2, 1, 3, 1], 2) == pytest.approx(2 / 5)
+
+
+class TestProfileValidation:
+    def test_repeated_unique_id_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^unique id 1 is listed twice$"):
+            TraceProfile([1, 1, 2], {0: 0.5, 1: 0.5}).validate()
+        path = tmp_path / "table_0.profile"
+        path.write_text("1 1 2\n0 0.5\n1 0.5\n")
+        with pytest.raises(ValueError, match="^unique id 1 is listed twice$"):
+            load_profile(path)
+        with pytest.raises(ValueError, match="^unique id 7 is listed twice$"):
+            TraceGenerator(TraceProfile([7, 3, 7], {0: 1.0}), RngStream(1))
 
 
 class TestProfileSerialization:

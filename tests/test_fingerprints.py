@@ -1,11 +1,13 @@
 """Bit fingerprints of tiny CLI runs.
 
 Each run in ``RUNS`` goes through ``cli.main`` in process with
-``--emit=json``, ``--metrics-file`` and ``--save-checkpoint``. The sha256 of
-its metric log and of its checkpoint file must equal the entry recorded in
+``--emit=json``, ``--metrics-file``, ``--report-file`` and
+``--save-checkpoint``. The sha256 of its metric log, of its checkpoint file
+and of its comm report (the report file's lines after the first, which is
+the JSON report and holds the wall time) must equal the entry recorded in
 ``fingerprints.json``, so an unintended change to any bit of training (loss,
-accuracy, validation, parameters) fails here even when serial and N-device
-runs still agree with each other.
+accuracy, validation, parameters) or to any collective's bytes fails here
+even when serial and N-device runs still agree with each other.
 
 The file also records the numpy and BLAS versions it was made under. A mismatch message names their recorded and current
 values, so a changed environment can be told apart from a changed program.
@@ -69,16 +71,21 @@ def _sha256(path: Path) -> str:
 
 
 def fingerprints(workdir: Path) -> dict:
-    """Run every entry of RUNS; return name -> metric/checkpoint hashes."""
+    """Run every entry of RUNS; return name -> metric/checkpoint/comm
+    hashes."""
     out = {}
     for name, flags in RUNS.items():
-        metrics, checkpoint = workdir / f"{name}.log", workdir / f"{name}.ckpt"
+        metrics, checkpoint, report = (workdir / f"{name}.{ext}"
+                                       for ext in ("log", "ckpt", "report"))
         code = cli.main([*BASE, *flags, f"--metrics-file={metrics}",
+                         f"--report-file={report}",
                          f"--save-checkpoint={checkpoint}"])
         if code != 0:
             raise RuntimeError(f"run {name} exited {code}")
+        comm = report.read_bytes().split(b"\n", 1)[1]
         out[name] = {"metrics_sha256": _sha256(metrics),
-                     "checkpoint_sha256": _sha256(checkpoint)}
+                     "checkpoint_sha256": _sha256(checkpoint),
+                     "comm_sha256": hashlib.sha256(comm).hexdigest()}
     return out
 
 

@@ -192,6 +192,65 @@ class TestButterflyShuffle:
         with pytest.raises(ValueError):
             butterfly_shuffle({0: np.zeros((3, 2))}, plan)
 
+    def test_inverse_shuffle_names_a_short_device(self):
+        # device 1 of 3 hands table 2 a gradient one row short of its shard
+        plan = DevicePlan(3, [0, 1, 2], 8)
+        rng = RngStream(35)
+        per_dev = [[rng.normal(hi - lo, 3) for _ in range(3)]
+                   for lo, hi in zip(plan.shard_bounds, plan.shard_bounds[1:])]
+        per_dev[1][2] = per_dev[1][2][:-1]
+        with pytest.raises(RuntimeError, match="^device 1: table 2 gradient "
+                                               "has 2 rows, shard is 3$"):
+            inverse_shuffle(per_dev, plan)
+
+    @pytest.mark.parametrize("ndev, batch", [(1, 5), (3, 5), (7, 5), (3, 16)])
+    @pytest.mark.parametrize("tail", [(), (4,), (2, 3)], ids=str)
+    def test_gather_equals_concatenate(self, ndev, batch, tail):
+        # 7 devices on 5 samples leave devices 5 and 6 empty shards
+        bounds = shard_bounds(batch, ndev)
+        rng = np.random.default_rng(ndev * batch)
+        parts = [rng.standard_normal((hi - lo, *tail))
+                 for lo, hi in zip(bounds, bounds[1:])]
+        got = parallel._gather(parts, bounds, "rows")
+        want = np.concatenate(parts)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_gather_names_the_device_and_the_shapes(self):
+        bounds = shard_bounds(5, 3)     # shards of 2, 2 and 1 rows
+        parts = [np.zeros((2, 4)), np.zeros((2, 4)), np.zeros((1, 3))]
+        with pytest.raises(RuntimeError, match=re.escape(
+                "device 2: rows has shape (1, 3), shard is (1, 4)")):
+            parallel._gather(parts, bounds, "rows")
+        parts[0] = np.zeros((3, 4))
+        with pytest.raises(RuntimeError, match="^device 0: rows has 3 rows, "
+                                               "shard is 2$"):
+            parallel._gather(parts, bounds, "rows")
+
+    @pytest.mark.parametrize("ndev", [1, 3])
+    def test_short_per_sample_loss_names_its_device(self, monkeypatch, ndev):
+        # the last device's per-sample loss is one row short of its shard
+        cfg = toy_config(seed=57)
+        model = init_model(cfg)
+        plan = make_plan(cfg, 7, ndev)
+        trainer = ParallelTrainer(model, plan, "sgd", 0.1)
+        real = parallel.bce_from_logits
+        calls = []
+
+        def short_on_last_device(logits, labels):
+            calls.append(None)
+            per_sample = real(logits, labels)
+            return per_sample[:-1] if len(calls) == ndev else per_sample
+
+        monkeypatch.setattr(parallel, "bce_from_logits", short_on_last_device)
+        lo, hi = plan.shard(ndev - 1)
+        with pytest.raises(RuntimeError, match=(
+                f"^device {ndev - 1}: per-sample loss has {hi - lo - 1} "
+                f"rows, shard is {hi - lo}$")):
+            trainer.step(*gen_batches(cfg, 7, 1, seed=68)[0])
+        assert all(np.array_equal(a, b) for a, b in zip(
+            model_arrays(model), model_arrays(init_model(cfg)), strict=True))
+
 
 class TestAllreduce:
     def test_single_replica_unchanged(self):
@@ -423,7 +482,7 @@ class TestStreamedReduction:
             want_w, want_b, want_stat, want_grad = reduce_mlp_grads_ref(
                 traces, batch)
             grads, stat, grad = parallel._reduce_mlp_grads(
-                traces, batch, bounds, f"{which} MLP")
+                traces, bounds, f"{which} MLP")
             assert _bits(grads.weights) == _bits(want_w)
             assert _bits(grads.biases) == _bits(want_b)
             assert (stat, grad) == (want_stat, want_grad)
@@ -443,7 +502,7 @@ class TestStreamedReduction:
         want_w, want_b, want_stat, want_grad = reduce_mlp_grads_ref(
             _layer_traces(x, gz, ndev), n)
         grads, stat, grad = parallel._reduce_mlp_grads(
-            _layer_traces(x, gz, ndev), n, shard_bounds(n, ndev), "MLP")
+            _layer_traces(x, gz, ndev), shard_bounds(n, ndev), "MLP")
         assert _bits(grads.weights) == _bits(want_w)
         assert _bits(grads.biases) == _bits(want_b)
         assert (stat, grad) == (want_stat, want_grad)
@@ -467,7 +526,7 @@ class TestStreamedReduction:
         def bucketed(ndev):
             t = _layer_traces(x, gz, ndev)
             return _peak(lambda: parallel._reduce_mlp_grads(
-                t, n, shard_bounds(n, ndev), "MLP"))
+                t, shard_bounds(n, ndev), "MLP"))
 
         one, four = bucketed(1), bucketed(4)
         assert one >= slices + buffer       # numpy allocations are traced
